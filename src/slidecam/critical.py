@@ -170,11 +170,6 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     )
 
 
-def max_matching(g: RegionGraph) -> list[tuple[int, int]]:
-    """Maximum matching among the non-loop edges of the patch instance."""
-    return matching.max_cardinality_matching(len(g.regions), g.edges)
-
-
 def min_edge_cover(g: RegionGraph) -> list[tuple[int, int]]:
     """Minimum edge cover of the patch instance, loops included."""
     return matching.min_edge_cover(len(g.regions), g.edges, loops=g.loops)

@@ -42,10 +42,6 @@ class ParseError(SlidecamError):
     """Malformed polygon file."""
 
 
-class Infeasible(SlidecamError):
-    """Grid cover problem has no feasible solution."""
-
-
 class NonStaircaseResidue(SlidecamError):
     """An unguarded component is not a staircase region."""
 

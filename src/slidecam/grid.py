@@ -8,10 +8,24 @@ horizontal sees more would disconnect the grid (the survivors can end up
 as parallel tracks that never touch), and connectedness is what the cover
 solver's guardedness leans on. The survivors still cover the whole
 polygon, and their pairwise crossings form the graph the solver works on.
+
+The prune never builds a visible set. A camera sees a point exactly when
+the perpendicular from the point to the track lies in P, so for two
+distinct maximal chords d and c of one orientation, vis(d) contains vis(c)
+exactly when d guards c as a track: c's span lies inside d's, and the strip
+between the two tracks lies inside P (tests/test_visibility.py checks the
+equivalence against region containment). The strip test is exact as a
+range check. Inside one open slab of c's span the polygon's cross-section
+does not change, and the perpendicular through c there meets P in one
+chord, so the strip's piece in that slab lies in P exactly when d's anchor
+lies in that chord. Intersecting the chords of all slabs once gives c's
+clearance, and d passes when its anchor falls in it. Event lines between
+slabs are ignored, as they are by the regularized visible sets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .geom import (
@@ -25,8 +39,10 @@ from .geom import (
     max_chord,
     reflex_vertices,
 )
-from .region import region_contains
-from .visibility import camera_visibility
+# Unused here: perfbench/spans.py wraps both names on this module and fails
+# when they are missing.
+from .region import region_contains  # noqa: F401
+from .visibility import camera_visibility  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -86,35 +102,55 @@ def chord_origins(P: OrthoPolygon) -> dict[OrthoSegment, tuple[Point, ...]]:
     return {c: tuple(sorted(vs)) for c, vs in out.items()}
 
 
+def _clearance(P: OrthoPolygon, c: OrthoSegment) -> tuple[int, int]:
+    """Scaled range (lo, hi) shared by every perpendicular chord through an
+    interior slab of c's span; c itself lies in P, so every slab has one."""
+    if c.is_vertical:
+        P, c = P.transposed(), c.transposed()
+    xs = P.vertex_xs()
+    cuts = [c.lo, *xs[bisect_right(xs, c.lo) : bisect_left(xs, c.hi)], c.hi]
+    Y = 2 * c.anchor
+    ivs = [P.chord_scaled(a + b, Y, VERTICAL) for a, b in zip(cuts, cuts[1:])]
+    return max(lo for lo, _ in ivs), min(hi for _, hi in ivs)
+
+
 def prune_dominated(P: OrthoPolygon, chords) -> Grid:
     """Drop chords dominated by a chord of the same orientation.
 
-    Mutually dominating chords (equal visible sets, same orientation) keep
-    only the lexicographically smallest one. The union of visible sets is
-    unchanged, so a cover of the pruned set still covers the polygon, and
-    within each orientation the survivors form an antichain under
-    domination. A horizontal survivor may well be dominated by a vertical
-    one; that pair is kept deliberately (see the module docstring).
+    The chords must be maximal chords through reflex vertices (what
+    reflex_chords returns): only for maximal chords is domination the
+    parallel-guarding test of the module docstring, which needs c's
+    clearance alone and no visible set. d guards c when d's span covers
+    c's and 2*d.anchor lies in c's clearance.
+
+    Mutually guarding chords have equal visible sets and keep only the
+    lexicographically smallest one; a chord guarded one way only is
+    dropped. The union of visible sets is unchanged, so a cover of the
+    pruned set still covers the polygon, and within each orientation the
+    survivors form an antichain under domination. A horizontal survivor
+    may well be dominated by a vertical one; that pair is kept
+    deliberately (see the module docstring).
     """
     chords = sorted(set(chords))
-    vis = {c: camera_visibility(P, c) for c in chords}
-    rep: dict[object, OrthoSegment] = {}
-    for c in chords:
-        rep.setdefault((c.orientation, vis[c].rects), c)
-    reps = sorted(rep.values())
-    # Between distinct visible sets, containment forces a strictly larger
-    # area, so the cheap area test filters most candidate dominators.
-    area = {c: vis[c].area() for c in reps}
-    kept = [
-        c
-        for c in reps
-        if not any(
-            d.orientation == c.orientation
-            and area[d] > area[c]
-            and region_contains(vis[d], vis[c])
-            for d in reps
-        )
-    ]
+    clearance = {c: _clearance(P, c) for c in chords}
+
+    def guards(d: OrthoSegment, c: OrthoSegment) -> bool:
+        lo, hi = clearance[c]
+        return d.lo <= c.lo and c.hi <= d.hi and lo <= 2 * d.anchor <= hi
+
+    kept = []
+    for orientation in (HORIZONTAL, VERTICAL):
+        group = [c for c in chords if c.orientation == orientation]
+        anchors = [c.anchor for c in group]
+        for c in group:
+            # Only chords anchored inside c's clearance can guard it.
+            lo, hi = clearance[c]
+            first = bisect_left(anchors, (lo + 1) // 2)
+            rivals = group[first : bisect_right(anchors, hi // 2)]
+            if not any(
+                d != c and guards(d, c) and (d < c or not guards(c, d)) for d in rivals
+            ):
+                kept.append(c)
     origin_map = chord_origins(P)
     origins = tuple(origin_map.get(c, ()) for c in kept)
     return Grid(tuple(kept), origins)

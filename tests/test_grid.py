@@ -126,3 +126,32 @@ def test_grid_simple_and_connected_on_sample():
         g = sc.guarding_grid(P)
         assert sc.is_simple_grid(g, P), seed
         assert sc.is_connected(g), seed
+
+
+def containment_prune(P, chords):
+    """The prune by region containment: equal visible sets of one
+    orientation keep the smallest chord, and a chord goes when a chord of
+    its orientation sees strictly more."""
+    rep = {}
+    for c in sorted(set(chords)):
+        rep.setdefault((c.orientation, sc.camera_visibility(P, c).rects), c)
+    reps = sorted(rep.values())
+    kept = [
+        c
+        for c in reps
+        if not any(
+            d != c and d.orientation == c.orientation and sc.dominates(P, d, c)
+            for d in reps
+        )
+    ]
+    origins = sc.chord_origins(P)
+    return sc.Grid(tuple(kept), tuple(origins[c] for c in kept))
+
+
+def test_prune_matches_region_containment():
+    cases = [(seed, corpus_target(seed)) for seed in range(1, 81)]
+    cases += [(seed, n) for n in (160, 240) for seed in (1, 2, 3)]
+    for seed, n in cases:
+        P = sc.generate_polygon(seed, n)
+        chords = sc.reflex_chords(P)
+        assert sc.prune_dominated(P, chords) == containment_prune(P, chords), (seed, n)

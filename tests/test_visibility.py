@@ -162,3 +162,16 @@ def test_random_pairs_match_brute():
             cam = sc.max_chord(P, p, rng.choice([sc.HORIZONTAL, sc.VERTICAL]))
             check_against_brute(P, cam)
             checked += 1
+
+
+def test_parallel_guarding_equals_domination_on_reflex_chords():
+    # the fact the grid prune rests on: between distinct maximal chords of
+    # one orientation, guarding the track is seeing everything it sees
+    for seed in range(1, 81):
+        P = sc.generate_polygon(seed, corpus_target(seed))
+        chords = sc.reflex_chords(P)
+        for d in chords:
+            for c in chords:
+                if d != c and d.orientation == c.orientation:
+                    got = sc.camera_guards_camera(P, d, c)
+                    assert got == sc.dominates(P, d, c), (seed, str(d), str(c))
