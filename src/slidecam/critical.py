@@ -34,8 +34,10 @@ def critical_regions(P: OrthoPolygon, cameras) -> list[RectilinearRegion]:
     """Connected leftover pieces, sorted canonically.
 
     Components touching only at a corner count as separate pieces. Each
-    piece must be staircase-shaped; a violation means the camera set did not
-    come from a grid cover and raises NonStaircaseResidue.
+    piece must be staircase-shaped, and a piece that is not raises
+    NonStaircaseResidue. That happens for some optimal grid covers too
+    (tests/test_pipeline.py pins two), so run_pipeline moves on to the next
+    optimum when it does.
     """
     comps = region_components(uncovered_region(P, cameras))
     for c in comps:
@@ -133,10 +135,6 @@ class RegionGraph:
     edge_witness: dict[tuple[int, int], int]
     loops: tuple[int, ...]
     loop_witness: dict[int, int]
-
-
-def candidate_guards(P: OrthoPolygon, grid) -> list[OrthoSegment]:
-    return list(grid.segments)
 
 
 def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:

@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-Geometry validation errors signal bad input; the *Violation / *Residue
-errors are internal assertion failures and indicate a bug when raised on
-valid input.
+Geometry validation errors signal bad input; the *Violation errors are
+internal assertion failures and indicate a bug when raised on valid input.
+NonStaircaseResidue is not one of them: some optimal grid covers leave a
+piece that is not a staircase, and the pipeline then moves on to the next
+optimum. It escapes only when no optimum leaves staircases alone.
 """
 
 

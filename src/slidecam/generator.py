@@ -1,12 +1,13 @@
 """Random simple orthogonal polygons by cell aggregation.
 
-Grow a 4-connected, hole-free set of unit grid cells, refusing any cell
-that would make two parts of the blob touch at a corner, then trace the
-boundary. Simplicity never needs checking afterwards: it holds by
-construction. Growth stops exactly when the boundary has the requested
-number of vertices, which changes by an even amount per cell, so any even
-target from 4 up is reachable; a seed-derived retry covers runs that
-overshoot and strand themselves.
+Grow a 4-connected, hole-free set of unit grid cells, then trace the
+boundary. A cell joins only when the occupied cells around it form one
+arc, which refuses every cell that would make two parts of the blob touch
+at a corner or seal off a pocket (see _arcs). Simplicity never needs
+checking afterwards: it holds by construction. Growth stops exactly when
+the boundary has the requested number of vertices, which changes by an
+even amount per cell, so any even target from 4 up is reachable; a
+seed-derived retry covers runs that overshoot and strand themselves.
 """
 
 from __future__ import annotations
@@ -29,59 +30,30 @@ def _corner_delta(cells, x, y):
         )
         # occ counts neighbors before the addition; the corner gains one.
         # 0->1 and 2->3 create a vertex, 1->2 and 3->4 remove one (the
-        # diagonal 2-pattern cannot occur: pinches are rejected outright).
+        # diagonal 2-pattern cannot occur: it is a pinch, and _arcs refuses
+        # every cell that would make one).
         delta += 1 if occ in (0, 2) else -1
     return delta
 
 
-def _pinched(cells, x, y):
-    for dx, dy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        if (
-            (x + dx, y + dy) in cells
-            and (x + dx, y) not in cells
-            and (x, y + dy) not in cells
-        ):
-            return True
-    return False
+def _arcs(cells, x, y):
+    """Number of runs of occupied cells in the 8-ring around (x,y).
 
-
-def _creates_hole(cells, x, y):
-    """Would adding (x,y) seal off an empty pocket?
-
-    Cheap test first: if the occupied cells in the 8-ring around (x,y) form
-    a single contiguous arc, the surrounding empty space stays connected.
-    Otherwise flood each empty orthogonal neighbor and require escape past
-    the blob's bounding box.
+    _attempt accepts a frontier cell only when this is at most one, and
+    that single test refuses exactly the cells that would pinch the blob
+    (two parts touching at a corner) or seal off an empty pocket:
+    - every frontier cell has an orthogonal neighbor in the blob;
+    - so a pinch, a diagonal cell whose two shared ring neighbors are
+      empty, is an arc of its own beside that neighbor's: two arcs at least;
+    - two arcs that are not pinches each hold an orthogonal cell, and a
+      blob path between them plus the new cell closes a 4-connected loop
+      with an empty ring cell inside: a pocket.
+    One arc leaves the empty ring cells, and with them the space around
+    the blob, connected. A full ring has no arc and cannot occur, as the
+    blob has no holes.
     """
     ring = [(x + dx, y + dy) in cells for dx, dy in _RING]
-    arcs = sum(ring[i] and not ring[i - 1] for i in range(8))
-    if arcs <= 1:
-        return False
-    xs = [c[0] for c in cells]
-    ys = [c[1] for c in cells]
-    lo_x, hi_x = min(xs) - 1, max(xs) + 1
-    lo_y, hi_y = min(ys) - 1, max(ys) + 1
-    blocked = cells | {(x, y)}
-    for dx, dy in _ORTHO:
-        start = (x + dx, y + dy)
-        if start in blocked:
-            continue
-        seen = {start}
-        stack = [start]
-        escaped = False
-        while stack:
-            cx, cy = stack.pop()
-            if cx < lo_x or cx > hi_x or cy < lo_y or cy > hi_y:
-                escaped = True
-                break
-            for ex, ey in _ORTHO:
-                nxt = (cx + ex, cy + ey)
-                if nxt not in blocked and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if not escaped:
-            return True
-    return False
+    return sum(ring[i] and not ring[i - 1] for i in range(8))
 
 
 def _trace(cells) -> list[Point]:
@@ -123,7 +95,7 @@ def _attempt(rng: random.Random, target: int, max_cells: int):
         placed = False
         for c in candidates:
             x, y = c
-            if _pinched(cells, x, y) or _creates_hole(cells, x, y):
+            if _arcs(cells, x, y) > 1:
                 continue
             delta = _corner_delta(cells, x, y)
             if vcount + delta > target:

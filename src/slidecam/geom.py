@@ -162,13 +162,6 @@ class OrthoPolygon:
             self._cache["xs"] = out
         return out
 
-    def vertex_ys(self) -> list[int]:
-        out = self._cache.get("ys")
-        if out is None:
-            out = sorted({v.y for v in self.vertices})
-            self._cache["ys"] = out
-        return out
-
     def transposed(self) -> "OrthoPolygon":
         """Mirror across the main diagonal (x and y swapped), still CCW."""
         out = self._cache.get("transposed")

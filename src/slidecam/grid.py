@@ -86,20 +86,20 @@ def reflex_chords(P: OrthoPolygon) -> list[OrthoSegment]:
     maximal chords would have merged, and non-collinear parallel segments
     are disjoint by definition.
     """
-    out = set()
-    for v in reflex_vertices(P):
-        out.add(max_chord(P, v, HORIZONTAL))
-        out.add(max_chord(P, v, VERTICAL))
-    return sorted(out)
+    return sorted(chord_origins(P))
 
 
 def chord_origins(P: OrthoPolygon) -> dict[OrthoSegment, tuple[Point, ...]]:
-    """Which reflex vertices generate each maximal chord."""
-    out: dict[OrthoSegment, list[Point]] = {}
-    for v in reflex_vertices(P):
-        for o in (HORIZONTAL, VERTICAL):
-            out.setdefault(max_chord(P, v, o), []).append(v)
-    return {c: tuple(sorted(vs)) for c, vs in out.items()}
+    """Which reflex vertices generate each maximal chord (cached on P)."""
+    out = P._cache.get("chord_origins")
+    if out is None:
+        acc: dict[OrthoSegment, list[Point]] = {}
+        for v in reflex_vertices(P):
+            for o in (HORIZONTAL, VERTICAL):
+                acc.setdefault(max_chord(P, v, o), []).append(v)
+        out = {c: tuple(sorted(vs)) for c, vs in acc.items()}
+        P._cache["chord_origins"] = out
+    return out
 
 
 def _clearance(P: OrthoPolygon, c: OrthoSegment) -> tuple[int, int]:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from .critical import (
     RegionGraph,
     build_region_graph,
-    candidate_guards,
     critical_regions,
     guards_from_cover,
     min_edge_cover,
@@ -126,7 +125,7 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
             raise first_error
         lap("cover")
     if regions:
-        rg = build_region_graph(P, regions, candidate_guards(P, grid))
+        rg = build_region_graph(P, regions, grid.segments)
         cover_edges = tuple(min_edge_cover(rg))
         patch_segments = tuple(guards_from_cover(rg, cover_edges))
     else:

@@ -209,13 +209,6 @@ def polygon_region(P: OrthoPolygon) -> RectilinearRegion:
     return out
 
 
-def segment_region(seg) -> RectilinearRegion:
-    """Degenerate helper: a thin region is not representable, so callers
-    that need 'does the region touch this segment' should use exact segment
-    arithmetic instead. Provided only to fail loudly."""
-    raise TypeError("segments have no area; use exact segment predicates")
-
-
 def region_cells(r: RectilinearRegion):
     """Unit-refinement cells (x0, x1, y0, y1) of the region, each a grid cell
     of the arrangement induced by the region's own rect boundaries."""

@@ -134,7 +134,7 @@ def test_07_two_regions_per_track(corpus_runs):
         if not run.regions:
             continue
         checked += 1
-        for c in sc.candidate_guards(P, run.grid):
+        for c in run.grid.segments:
             whole = sum(1 for r in run.regions if sc.guards_entirely(P, c, r))
             if whole >= 3:
                 bad.append((seed, str(c), whole))

@@ -125,3 +125,27 @@ def test_merged_cameras_prefers_cover_provenance():
     d = dict(zip(cams, prov))
     assert d[H(2, 0, 5)] == sc.FROM_S
     assert d[H(3, 0, 6)] == sc.FROM_SC
+
+
+@pytest.mark.parametrize(
+    "seed, piece",
+    [
+        (119, ((9, 11, 4, 6), (11, 12, 1, 7))),
+        (386, ((20, 21, 5, 6), (21, 22, 4, 6), (22, 24, 5, 6))),
+    ],
+)
+def test_pipeline_walks_past_an_optimum_with_a_non_staircase_residue(seed, piece):
+    # The lexicographically smallest optimal grid cover of these 240-vertex
+    # polygons leaves a piece that is not a staircase; run_pipeline succeeds
+    # only because it moves on to a later optimum.
+    P = sc.generate_polygon(seed, 240)
+    run = sc.run_pipeline(P)
+    first = sc.minimum_guarded_cover(run.graph)
+    assert run.chosen != first
+    segments = [run.grid.segments[i] for i in first]
+    leftover = sc.region_components(sc.uncovered_region(P, segments))
+    assert piece in [c.rects for c in leftover]
+    with pytest.raises(sc.NonStaircaseResidue):
+        sc.critical_regions(P, segments)
+    assert all(sc.is_staircase(r) for r in run.regions)
+    assert sc.covers_polygon(P, sc.camera_cover(P).cameras)

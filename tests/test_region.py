@@ -7,12 +7,11 @@ model and pin down the canonical-form invariants everything else relies on
 (sorted slabs, no mergeable neighbors, deterministic equality).
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slidecam as sc
-from slidecam.region import EMPTY_REGION, region_cells, segment_region
+from slidecam.region import EMPTY_REGION, region_cells
 
 rect_st = st.tuples(
     st.integers(-4, 4), st.integers(1, 5), st.integers(-4, 4), st.integers(1, 5)
@@ -142,11 +141,6 @@ def test_polygon_region_area():
     r = sc.polygon_region(P)
     assert r.area() == 12
     assert region_cell_set(r) == cells([(0, 4, 0, 2), (0, 2, 2, 4)])
-
-
-def test_segment_region_refuses_degenerate_input():
-    with pytest.raises(TypeError):
-        segment_region(sc.OrthoSegment.horizontal(1, 0, 3))
 
 
 @settings(max_examples=30)
