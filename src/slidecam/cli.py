@@ -2,8 +2,9 @@
 
 Subcommands: solve a polygon file, generate a random instance, and verify
 the approximation bounds against the brute-force optima. Exit codes: 0 ok,
-1 a bound was violated, 2 unreadable or invalid input, 3 an internal
-consistency check failed, 4 an oracle cap was exceeded under --strict.
+1 a bound was violated, 2 unreadable or invalid input (or, for gen, a
+vertex count the generator gave up on), 3 an internal consistency check
+failed, 4 an oracle cap was exceeded under --strict.
 """
 
 from __future__ import annotations
@@ -70,7 +71,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    sys.stdout.write(format_polygon(generate_polygon(args.seed, args.vertices)))
+    # Only the generator's give-up is bad input; main does not catch
+    # RuntimeError, since a RecursionError in the solver is a bug.
+    try:
+        P = generate_polygon(args.seed, args.vertices)
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return BAD_INPUT
+    sys.stdout.write(format_polygon(P))
     return OK
 
 

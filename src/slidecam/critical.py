@@ -18,7 +18,6 @@ from .geom import OrthoPolygon, OrthoSegment
 from .region import (
     RectilinearRegion,
     polygon_region,
-    region_cells,
     region_components,
     region_difference,
 )
@@ -46,77 +45,36 @@ def critical_regions(P: OrthoPolygon, cameras) -> list[RectilinearRegion]:
     return comps
 
 
-def _boundary_cycle(r: RectilinearRegion):
-    """Single CCW boundary cycle of r as merged step vectors, or None when
-    the boundary is pinched or has several cycles (hole or disconnection)."""
-    cells = region_cells(r)
-    xs = sorted({x for c in cells for x in (c[0], c[1])})
-    ys = sorted({y for c in cells for y in (c[2], c[3])})
-    xi = {x: i for i, x in enumerate(xs)}
-    yi = {y: j for j, y in enumerate(ys)}
-    occ = {(xi[c[0]], yi[c[2]]) for c in cells}
-    edges = {}
-    for i, j in occ:
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[j], ys[j + 1]
-        sides = []
-        if (i, j - 1) not in occ:
-            sides.append(((x0, y0), (x1, y0)))
-        if (i + 1, j) not in occ:
-            sides.append(((x1, y0), (x1, y1)))
-        if (i, j + 1) not in occ:
-            sides.append(((x1, y1), (x0, y1)))
-        if (i - 1, j) not in occ:
-            sides.append(((x0, y1), (x0, y0)))
-        for a, b in sides:
-            if a in edges:  # two outgoing edges: pinch vertex
-                return None
-            edges[a] = b
-    start = min(edges)
-    walk = [start]
-    cur = edges[start]
-    while cur != start:
-        walk.append(cur)
-        cur = edges[cur]
-    if len(walk) != len(edges):
-        return None
-    steps = []
-    for t in range(len(walk)):
-        a = walk[t]
-        b = walk[(t + 1) % len(walk)]
-        d = (b[0] - a[0], b[1] - a[1])
-        if steps and (steps[-1][0] == 0) == (d[0] == 0):
-            steps[-1] = (steps[-1][0] + d[0], steps[-1][1] + d[1])
-        else:
-            steps.append(d)
-    if len(steps) > 1 and (steps[0][0] == 0) == (steps[-1][0] == 0):
-        steps[0] = (steps[0][0] + steps[-1][0], steps[0][1] + steps[-1][1])
-        steps.pop()
-    return steps
-
-
 def is_staircase(r: RectilinearRegion) -> bool:
     """Is r connected, hole-free and staircase-shaped?
 
-    Staircase-shaped: the merged boundary cycle has a corner whose two
-    incident straight runs, once removed, leave a chain that is monotone
-    (all horizontal runs one way, all vertical runs one way). A rectangle
-    qualifies with an empty chain aside from its two far sides. The empty
-    region does not qualify.
+    Read straight off the canonical slab form: r passes when it is
+    non-empty, each rect abuts the next (a[1] == b[0]), and either all
+    bottoms are equal and the tops are monotone, or all tops are equal and
+    the bottoms are monotone (either direction in both cases).
+
+    Why that is the whole test: from_rects gives one rect per column
+    interval, sorted by x, with equal neighbours merged. A staircase with
+    its corner at the bottom left is {x0 <= x <= x1, y0 <= y <= g(x)} with g
+    non-increasing: one interval per column, no gaps, a common bottom and
+    falling tops. The other three corners are its mirror images. Abutting
+    rects rule out two intervals in one column (a hole, say) and a gap
+    between columns; a corner touch, a T, a Z or a plus breaks the common
+    side or the monotone one. A rectangle is one rect and qualifies. The
+    empty region does not.
     """
-    if r.is_empty:
+    rects = r.rects
+    if not rects or any(a[1] != b[0] for a, b in zip(rects, rects[1:])):
         return False
-    steps = _boundary_cycle(r)
-    if steps is None:
-        return False
-    m = len(steps)
-    for rot in range(m):
-        rest = [steps[(rot + 1 + t) % m] for t in range(m - 2)]
-        hs = {dx > 0 for dx, dy in rest if dx != 0}
-        vs = {dy > 0 for dx, dy in rest if dy != 0}
-        if len(hs) <= 1 and len(vs) <= 1:
-            return True
-    return False
+    bottoms = [rect[2] for rect in rects]
+    tops = [rect[3] for rect in rects]
+
+    def monotone(v):
+        return v == sorted(v) or v == sorted(v, reverse=True)
+
+    return (len(set(bottoms)) == 1 and monotone(tops)) or (
+        len(set(tops)) == 1 and monotone(bottoms)
+    )
 
 
 @dataclass(frozen=True)
@@ -147,7 +105,14 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     candidates = list(candidates)
     seers: list[list[int]] = []
     for idx, r in enumerate(regions):
-        who = [k for k, s in enumerate(candidates) if guards_entirely(P, s, r)]
+        x0, x1, y0, y1 = r.bbox()
+        who = []
+        for k, s in enumerate(candidates):
+            # A track sees nothing beyond its own span, so one whose span
+            # misses part of the piece's extent along it cannot see it whole.
+            lo, hi = (x0, x1) if s.is_horizontal else (y0, y1)
+            if s.lo <= lo and hi <= s.hi and guards_entirely(P, s, r):
+                who.append(k)
         if not who:
             raise UnguardableRegion(f"no track sees leftover piece {idx} whole")
         seers.append(who)

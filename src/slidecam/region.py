@@ -208,17 +208,3 @@ def polygon_region(P: OrthoPolygon) -> RectilinearRegion:
         P._cache["region"] = out
     return out
 
-
-def region_cells(r: RectilinearRegion):
-    """Unit-refinement cells (x0, x1, y0, y1) of the region, each a grid cell
-    of the arrangement induced by the region's own rect boundaries."""
-    xs = sorted({x for rect in r.rects for x in (rect[0], rect[1])})
-    ys = sorted({y for rect in r.rects for y in (rect[2], rect[3])})
-    cells = []
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            cx = xs[i] + xs[i + 1]
-            cy = ys[j] + ys[j + 1]
-            if r.contains_point_scaled(cx, cy):
-                cells.append((xs[i], xs[i + 1], ys[j], ys[j + 1]))
-    return cells

@@ -83,3 +83,14 @@ def test_gen_rejects_odd_vertex_count(capsys):
     with pytest.raises(SystemExit):
         main(["gen", "--seed", "1", "--vertices", "7"])
     capsys.readouterr()
+
+
+def test_gen_give_up_exit_code(monkeypatch, capsys):
+    def give_up(seed, vertices):
+        raise RuntimeError(f"gave up generating a {vertices}-vertex polygon")
+
+    monkeypatch.setattr("slidecam.cli.generate_polygon", give_up)
+    assert main(["gen", "--seed", "1", "--vertices", "2000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: gave up generating a 2000-vertex polygon\n"

@@ -33,6 +33,99 @@ def test_staircase_rejects_t_z_and_plus():
     )
 
 
+def boundary_staircase(r):
+    """The boundary-walk recogniser is_staircase replaced, kept as the
+    reference: refine r into the cells of its own coordinate arrangement,
+    walk the single CCW boundary cycle (None when pinched, holed or
+    disconnected), merge it into straight runs, and accept when some corner's
+    two runs, once removed, leave a chain monotone in x and in y."""
+    if r.is_empty:
+        return False
+    xs = sorted({x for rect in r.rects for x in (rect[0], rect[1])})
+    ys = sorted({y for rect in r.rects for y in (rect[2], rect[3])})
+    occ = {
+        (i, j)
+        for i in range(len(xs) - 1)
+        for j in range(len(ys) - 1)
+        if r.contains_point_scaled(xs[i] + xs[i + 1], ys[j] + ys[j + 1])
+    }
+    edges = {}
+    for i, j in occ:
+        x0, x1 = xs[i], xs[i + 1]
+        y0, y1 = ys[j], ys[j + 1]
+        sides = []
+        if (i, j - 1) not in occ:
+            sides.append(((x0, y0), (x1, y0)))
+        if (i + 1, j) not in occ:
+            sides.append(((x1, y0), (x1, y1)))
+        if (i, j + 1) not in occ:
+            sides.append(((x1, y1), (x0, y1)))
+        if (i - 1, j) not in occ:
+            sides.append(((x0, y1), (x0, y0)))
+        for a, b in sides:
+            if a in edges:  # two outgoing edges: pinch vertex
+                return False
+            edges[a] = b
+    start = min(edges)
+    walk = [start]
+    cur = edges[start]
+    while cur != start:
+        walk.append(cur)
+        cur = edges[cur]
+    if len(walk) != len(edges):
+        return False
+    steps = []
+    for t in range(len(walk)):
+        a, b = walk[t], walk[(t + 1) % len(walk)]
+        d = (b[0] - a[0], b[1] - a[1])
+        if steps and (steps[-1][0] == 0) == (d[0] == 0):
+            steps[-1] = (steps[-1][0] + d[0], steps[-1][1] + d[1])
+        else:
+            steps.append(d)
+    if len(steps) > 1 and (steps[0][0] == 0) == (steps[-1][0] == 0):
+        steps[0] = (steps[0][0] + steps[-1][0], steps[0][1] + steps[-1][1])
+        steps.pop()
+    m = len(steps)
+    for rot in range(m):
+        rest = [steps[(rot + 1 + t) % m] for t in range(m - 2)]
+        hs = {dx > 0 for dx, dy in rest if dx != 0}
+        vs = {dy > 0 for dx, dy in rest if dy != 0}
+        if len(hs) <= 1 and len(vs) <= 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("w,h", [(3, 4), (4, 3)])
+def test_staircase_matches_boundary_walk_on_grid_subsets(w, h):
+    cells = [(i, i + 1, j, j + 1) for i in range(w) for j in range(h)]
+    stairs = 0
+    for mask in range(1 << len(cells)):
+        r = sc.from_rects(c for k, c in enumerate(cells) if mask >> k & 1)
+        got = sc.is_staircase(r)
+        assert got == boundary_staircase(r), r.rects
+        stairs += got
+    assert 0 < stairs < 1 << len(cells)
+
+
+def test_staircase_matches_boundary_walk_on_pipeline_pieces(monkeypatch):
+    from slidecam import critical
+
+    seen = []
+
+    def checked(r):
+        got = sc.is_staircase(r)
+        assert got == boundary_staircase(r), r.rects
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(critical, "is_staircase", checked)
+    cases = [(seed, corpus_target(seed)) for seed in range(1, 201)]
+    cases += [(119, 240), (386, 240)]
+    for seed, n in cases:
+        sc.run_pipeline(sc.generate_polygon(seed, n))
+    assert True in seen and False in seen
+
+
 def test_staircase_rejects_empty_pinched_disconnected_holed():
     from slidecam.region import EMPTY_REGION
 
