@@ -375,10 +375,9 @@ def max_chord(P: OrthoPolygon, p: Point, orientation: str) -> OrthoSegment:
     between two parts of the polygon; at a convex corner it may be exactly an
     edge. Raises PointOutside when p is not in the polygon.
     """
-    if contains_point(P, p) == OUTSIDE:
-        raise PointOutside(f"{p} is outside the polygon")
     iv = P.chord_scaled(2 * p.x, 2 * p.y, orientation)
-    assert iv is not None
+    if iv is None:
+        raise PointOutside(f"{p} is outside the polygon")
     lo, hi = iv
     if orientation == HORIZONTAL:
         return OrthoSegment.horizontal(p.y, lo // 2, hi // 2)

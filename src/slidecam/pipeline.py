@@ -42,6 +42,8 @@ class RunStats:
     chord_count: int
     grid_size: int
     cover_size: int
+    # optima drawn until one left staircase pieces; 0 for a rectangle
+    optima_tried: int
     critical_count: int
     patch_size: int
     phase_seconds: dict[str, float]
@@ -98,6 +100,7 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
         # along the left edge sweeps it and no grid machinery applies.
         chosen: tuple[int, ...] = ()
         cover_segments: tuple[OrthoSegment, ...] = (_left_edge_camera(P),)
+        tried = 0
         lap("cover")
         regions: tuple[RectilinearRegion, ...] = ()
     else:
@@ -109,7 +112,7 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
         chosen = ()
         cover_segments = ()
         regions = ()
-        for attempt in optimal_covers(graph):
+        for tried, attempt in enumerate(optimal_covers(graph), 1):
             candidate = tuple(grid.segments[i] for i in attempt)
             try:
                 regions = tuple(critical_regions(P, candidate))
@@ -140,6 +143,7 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
         chord_count=len(chords),
         grid_size=len(grid),
         cover_size=len(cover_segments),
+        optima_tried=tried,
         critical_count=len(regions),
         patch_size=len(patch_segments),
         phase_seconds=timings,

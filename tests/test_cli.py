@@ -30,6 +30,7 @@ def test_solve_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "total_cameras: 3" in out
     assert "grid_tracks: 4" in out
+    assert "cover_optima_tried: 1" in out
     assert "critical_regions: 1" in out
     assert "patch_tracks: 1" in out
 

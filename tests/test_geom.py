@@ -112,6 +112,40 @@ def test_max_chord_requires_inside_point():
         sc.max_chord(P, sc.Point(3, 3), sc.HORIZONTAL)
 
 
+def reference_max_chord(P, p, orientation):
+    """max_chord as it was: classify p with the edge scan first."""
+    if sc.contains_point(P, p) == sc.OUTSIDE:
+        raise sc.PointOutside(f"{p} is outside the polygon")
+    lo, hi = P.chord_scaled(2 * p.x, 2 * p.y, orientation)
+    if orientation == sc.HORIZONTAL:
+        return sc.OrthoSegment.horizontal(p.y, lo // 2, hi // 2)
+    return sc.OrthoSegment.vertical(p.x, lo // 2, hi // 2)
+
+
+def test_max_chord_matches_edge_scan_reference():
+    rng = random.Random(11)
+    polygons = [sc.generate_polygon(s, corpus_target(s)) for s in range(1, 31)]
+    polygons += [sc.generate_polygon(s, 120) for s in (1, 2)]
+    kinds = set()
+    for P in polygons:
+        x0, y0, x1, y1 = P.bbox()
+        points = list(P.vertices) + [
+            sc.Point(rng.randint(x0 - 1, x1 + 1), rng.randint(y0 - 1, y1 + 1))
+            for _ in range(150)
+        ]
+        for p in points:
+            kinds.add(sc.contains_point(P, p))
+            for orientation in (sc.HORIZONTAL, sc.VERTICAL):
+                try:
+                    want = reference_max_chord(P, p, orientation)
+                except sc.PointOutside:
+                    with pytest.raises(sc.PointOutside):
+                        sc.max_chord(P, p, orientation)
+                    continue
+                assert sc.max_chord(P, p, orientation) == want, (p, orientation)
+    assert kinds == {sc.INTERIOR, sc.BOUNDARY, sc.OUTSIDE}
+
+
 def test_segment_basics():
     h = sc.OrthoSegment.horizontal(2, 0, 4)
     v = sc.OrthoSegment.vertical(3, 1, 5)

@@ -5,10 +5,11 @@ lexicographically smallest optimum, and enumerate all optima in order.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 import brute
 import slidecam as sc
+from slidecam.guarded_cover import _search
 
 
 def graph_of(n, edges):
@@ -90,6 +91,64 @@ def test_optima_enumeration_matches_brute():
         assert list(sc.optimal_covers(g)) == want, (trial, g.edges)
 
 
+def random_bipartite(rng, n):
+    """Edges of a random bipartite graph on n shuffled nodes: up to two
+    isolated nodes, the rest in one to three connected components."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    lonely = min(n, rng.choice((0, 0, 1, 2)))
+    rest = nodes[lonely:]
+    if len(rest) < 2:
+        return []
+    k = rng.randint(1, min(3, len(rest) // 2))
+    sizes = [2] * k
+    for _ in range(len(rest) - 2 * k):
+        sizes[rng.randrange(k)] += 1
+    p = rng.uniform(0.1, 0.8)
+    edges = set()
+    for size in sizes:
+        group, rest = rest[:size], rest[size:]
+        colour = [0, 1] + [rng.randrange(2) for _ in group[2:]]
+        for i in range(1, size):
+            # a spanning tree keeps the component connected
+            j = rng.choice([j for j in range(i) if colour[j] != colour[i]])
+            edges.add((group[i], group[j]))
+            for j in range(i):
+                if colour[j] != colour[i] and rng.random() < p:
+                    edges.add((group[i], group[j]))
+    return [tuple(sorted(e)) for e in edges]
+
+
+def components_with_edges(n, edges):
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in edges:
+        parent[root(i)] = root(j)
+    return len({root(i) for e in edges for i in e})
+
+
+def test_optima_enumeration_matches_brute_on_bipartite_graphs():
+    rng = random.Random(23)
+    kinds = {"isolated": 0, "connected": 0, "split": 0}
+    for trial in range(250):
+        n = rng.randint(1, 12)
+        edges = random_bipartite(rng, n)
+        g = graph_of(n, edges)
+        if any(m == 0 for m in g.neighbor_masks()):
+            kinds["isolated"] += 1
+        elif components_with_edges(n, edges) > 1:
+            kinds["split"] += 1
+        else:
+            kinds["connected"] += 1
+        assert list(sc.optimal_covers(g)) == brute_optima(g), (trial, g.edges)
+    assert min(kinds.values()) >= 25, kinds
+
+
 def test_solver_matches_brute_on_larger_graphs():
     rng = random.Random(17)
     for trial in range(200):
@@ -109,3 +168,53 @@ def test_is_guarded_cover_requires_neighbor_inside():
     # supersets of a guarded cover stay guarded only if newcomers are watched
     assert sc.is_guarded_cover(g, (0, 1, 2))
     assert not sc.is_guarded_cover(g, ())
+
+
+def reference_covers(graph):
+    """optimal_covers with the whole-graph `_search` answering every size
+    question, as before the colour-class split; `k` comes from iterative
+    deepening."""
+    n = graph.n
+    adj = graph.neighbor_masks()
+    isolated = [v for v in range(n) if adj[v] == 0]
+    full = sum(1 << v for v in range(n) if adj[v])
+    k = 0
+    while not _search(adj, full, k, 0, full):
+        k += 1
+    picks = []
+
+    def emit(dominated, allowed):
+        if len(picks) == k:
+            yield tuple(sorted(isolated + picks))
+            return
+        for j in range(n):
+            if not (allowed >> j) & 1:
+                continue
+            nxt_allowed = allowed & ~((1 << (j + 1)) - 1)
+            if _search(adj, full, k - len(picks) - 1, dominated | adj[j], nxt_allowed):
+                picks.append(j)
+                yield from emit(dominated | adj[j], nxt_allowed)
+                picks.pop()
+
+    return k, emit(0, full)
+
+
+def grid_graph(P):
+    return sc.intersection_graph(sc.prune_dominated(P, tuple(sc.reflex_chords(P))))
+
+
+def test_first_optima_match_whole_graph_search(corpus):
+    polygons = [P for _seed, P in corpus[:200]]
+    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 5)]
+    for g in map(grid_graph, polygons):
+        _k, want = reference_covers(g)
+        assert list(islice(sc.optimal_covers(g), 20)) == list(islice(want, 20)), g.edges
+
+
+def test_size_matches_whole_graph_search_at_400_vertices():
+    for seed in range(1, 5):
+        g = grid_graph(sc.generate_polygon(seed, 400))
+        got = sc.minimum_guarded_cover(g)
+        assert sc.is_guarded_cover(g, got)
+        k, _emit = reference_covers(g)
+        assert len(got) == k, seed

@@ -15,6 +15,7 @@ def test_rectangle_needs_one_camera():
     assert run.chosen == ()
     assert run.cover_segments == (V(0, 0, 3),)
     assert run.regions == () and run.patch_segments == ()
+    assert run.stats.optima_tried == 0
     gs = sc.camera_cover(P)
     assert gs.cameras == (V(0, 0, 3),)
     assert gs.provenance == (sc.FROM_S,)
@@ -142,6 +143,8 @@ def test_pipeline_walks_past_an_optimum_with_a_non_staircase_residue(seed, piece
     run = sc.run_pipeline(P)
     first = sc.minimum_guarded_cover(run.graph)
     assert run.chosen != first
+    # optima drawn until one left staircase pieces, that one included
+    assert run.stats.optima_tried == {119: 4, 386: 97}[seed]
     segments = [run.grid.segments[i] for i in first]
     leftover = sc.region_components(sc.uncovered_region(P, segments))
     assert piece in [c.rects for c in leftover]
