@@ -14,13 +14,8 @@ the perpendicular from the point to the track lies in P, so for two
 distinct maximal chords d and c of one orientation, vis(d) contains vis(c)
 exactly when d guards c as a track: c's span lies inside d's, and the strip
 between the two tracks lies inside P (tests/test_visibility.py checks the
-equivalence against region containment). The strip test is exact as a
-range check. Inside one open slab of c's span the polygon's cross-section
-does not change, and the perpendicular through c there meets P in one
-chord, so the strip's piece in that slab lies in P exactly when d's anchor
-lies in that chord. Intersecting the chords of all slabs once gives c's
-clearance, and d passes when its anchor falls in it. Event lines between
-slabs are ignored, as they are by the regularized visible sets.
+equivalence against region containment), which is a range check on d's
+anchor against c's clearance (visibility._clearance).
 """
 
 from __future__ import annotations
@@ -39,10 +34,10 @@ from .geom import (
     max_chord,
     reflex_vertices,
 )
-# Unused here: perfbench/spans.py wraps both names on this module and fails
-# when they are missing.
+# region_contains and camera_visibility are unused here: perfbench/spans.py
+# wraps both names on this module and fails when they are missing.
 from .region import region_contains  # noqa: F401
-from .visibility import camera_visibility  # noqa: F401
+from .visibility import _clearance, camera_visibility  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -100,18 +95,6 @@ def chord_origins(P: OrthoPolygon) -> dict[OrthoSegment, tuple[Point, ...]]:
         out = {c: tuple(sorted(vs)) for c, vs in acc.items()}
         P._cache["chord_origins"] = out
     return out
-
-
-def _clearance(P: OrthoPolygon, c: OrthoSegment) -> tuple[int, int]:
-    """Scaled range (lo, hi) shared by every perpendicular chord through an
-    interior slab of c's span; c itself lies in P, so every slab has one."""
-    if c.is_vertical:
-        P, c = P.transposed(), c.transposed()
-    xs = P.vertex_xs()
-    cuts = [c.lo, *xs[bisect_right(xs, c.lo) : bisect_left(xs, c.hi)], c.hi]
-    Y = 2 * c.anchor
-    ivs = [P.chord_scaled(a + b, Y, VERTICAL) for a, b in zip(cuts, cuts[1:])]
-    return max(lo for lo, _ in ivs), min(hi for _, hi in ivs)
 
 
 def prune_dominated(P: OrthoPolygon, chords) -> Grid:

@@ -5,11 +5,10 @@ intersection graph, exact minimum guarded cover of the grid, leftover
 critical regions, and the edge-cover patch. The result covers the polygon
 with at most 3.5 times the optimal number of cameras.
 
-guarded_camera_cover returns the same cameras and additionally enforces
-that every camera's track is watched by another camera (at most 2.5 times
-the optimum of that harder problem). The only wrinkle is a grid with a
-single track: nothing else can watch it, so by default the track is simply
-staffed twice; allow_self_guard=True accepts the lone camera instead.
+guarded_camera_cover returns the same cameras (checked_cover of one run)
+and watched_cover enforces that every camera's track is watched by another
+camera (at most 2.5 times the optimum of that harder problem). The CLI
+passes its own run_pipeline result to both, so it solves once.
 """
 
 from __future__ import annotations
@@ -171,13 +170,29 @@ def merged_cameras(run: PipelineRun) -> tuple[tuple[OrthoSegment, ...], tuple[st
     return tuple(cameras), provenance
 
 
-def camera_cover(P: OrthoPolygon) -> GuardSet:
-    """Cameras covering the whole polygon, at most 3.5x the optimum."""
-    run = run_pipeline(P)
+def checked_cover(run: PipelineRun) -> GuardSet:
+    """The run's merged cameras; CoverageViolation if they miss any of P."""
     cameras, provenance = merged_cameras(run)
-    if not covers_polygon(P, cameras):
+    if not covers_polygon(run.polygon, cameras):
         raise CoverageViolation("camera set fails to cover the polygon")
     return GuardSet(cameras, provenance, run.stats)
+
+
+def watched_cover(P: OrthoPolygon, found: GuardSet, allow_self_guard=False) -> GuardSet:
+    """guarded_camera_cover's check: a cover track watches every camera."""
+    if len(found.cameras) == 1:
+        k = 1 if allow_self_guard else 2
+        return GuardSet(found.cameras * k, found.provenance * k, found.stats)
+    cover = {c for c, p in zip(found.cameras, found.provenance) if p == FROM_S}
+    for cam in found.cameras:
+        if not any(g != cam and camera_guards_camera(P, g, cam) for g in cover):
+            raise GuardednessViolation(f"no cover track watches {cam}")
+    return found
+
+
+def camera_cover(P: OrthoPolygon) -> GuardSet:
+    """Cameras covering the whole polygon, at most 3.5x the optimum."""
+    return checked_cover(run_pipeline(P))
 
 
 def guarded_camera_cover(P: OrthoPolygon, allow_self_guard: bool = False) -> GuardSet:
@@ -185,22 +200,9 @@ def guarded_camera_cover(P: OrthoPolygon, allow_self_guard: bool = False) -> Gua
     the optimum of the guarded problem.
 
     Tracks in the cover pairwise intersect enough to watch each other, and
-    every patch track crosses a cover track; both facts are re-verified here
+    every patch track crosses a cover track; both facts are re-verified
     camera by camera. With one cover track and nothing else, the default is
     to staff the same track twice, since a lone camera has no distinct
     guard; allow_self_guard=True returns the single camera instead.
     """
-    run = run_pipeline(P)
-    cameras, provenance = merged_cameras(run)
-    if not covers_polygon(P, cameras):
-        raise CoverageViolation("camera set fails to cover the polygon")
-    if len(cameras) == 1:
-        if allow_self_guard:
-            return GuardSet(cameras, provenance, run.stats)
-        return GuardSet(cameras * 2, provenance * 2, run.stats)
-    cover = set(run.cover_segments)
-    for cam in cameras:
-        pool = cover - {cam} if cam in cover else cover
-        if not any(camera_guards_camera(P, g, cam) for g in pool):
-            raise GuardednessViolation(f"no cover track watches {cam}")
-    return GuardSet(cameras, provenance, run.stats)
+    return watched_cover(P, checked_cover(run_pipeline(P)), allow_self_guard)

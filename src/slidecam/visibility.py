@@ -17,6 +17,8 @@ regions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 from .errors import SegmentNotInside
 from .geom import HORIZONTAL, VERTICAL, OrthoPolygon, OrthoSegment
 from .region import (
@@ -66,6 +68,23 @@ def camera_visibility(P: OrthoPolygon, s: OrthoSegment) -> RectilinearRegion:
     return out
 
 
+def _clearance(P: OrthoPolygon, c: OrthoSegment) -> tuple[int, int] | None:
+    """Scaled range (lo, hi) of anchors from which a parallel track sees all
+    of c, given the span; None when some slab has no chord. Over one open
+    slab of c's span P's cross-section is fixed, so the strip between c and
+    the track lies in P there exactly when the track's anchor lies in the
+    slab's chord through c; event lines are ignored, as by visible sets."""
+    if c.is_vertical:
+        P, c = P.transposed(), c.transposed()
+    xs = P.vertex_xs()
+    cuts = [c.lo, *xs[bisect_right(xs, c.lo) : bisect_left(xs, c.hi)], c.hi]
+    Y = 2 * c.anchor
+    ivs = [P.chord_scaled(a + b, Y, VERTICAL) for a, b in zip(cuts, cuts[1:])]
+    if None in ivs:
+        return None
+    return max(lo for lo, _ in ivs), min(hi for _, hi in ivs)
+
+
 def visible_union(P: OrthoPolygon, segments) -> RectilinearRegion:
     return region_union_all(camera_visibility(P, s) for s in segments)
 
@@ -98,15 +117,12 @@ def camera_guards_camera(
             P.transposed(), guard.transposed(), target.transposed()
         )
     if target.is_horizontal:
-        # Parallel tracks: every perpendicular foot must land on the guard,
-        # so the target's span must sit inside the guard's.
+        # Parallel tracks: the target's span must sit inside the guard's and
+        # the strip between them inside P, which _clearance decides.
         if target.lo < guard.lo or target.hi > guard.hi:
             return False
-        if target.anchor == guard.anchor:
-            return True
-        y0, y1 = sorted((guard.anchor, target.anchor))
-        strip = from_rects([(target.lo, target.hi, y0, y1)])
-        return region_contains(polygon_region(P), strip)
+        span = _clearance(P, target)
+        return span is not None and span[0] <= 2 * guard.anchor <= span[1]
     # Perpendicular: only points of the target on the guard's x-span can be
     # seen, so the whole target is seen iff its column crosses the span and
     # the vertical chord there runs past both the guard and the target.

@@ -95,3 +95,50 @@ def test_gen_give_up_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: gave up generating a 2000-vertex polygon\n"
+
+
+def test_verify_rejects_negative_cap(tmp_path, capsys):
+    import pytest
+
+    path = write_poly(tmp_path, EAR)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(path), "--cap", "-3"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+def test_each_command_runs_the_pipeline_once(tmp_path, monkeypatch, capsys):
+    import slidecam.cli
+    import slidecam.pipeline
+
+    calls = []
+    real = slidecam.pipeline.run_pipeline
+
+    def counted(P):
+        calls.append(P)
+        return real(P)
+
+    # the CLI and the pipeline module each look the name up in their own
+    # namespace, so count calls made through either
+    monkeypatch.setattr(slidecam.cli, "run_pipeline", counted)
+    monkeypatch.setattr(slidecam.pipeline, "run_pipeline", counted)
+    path = write_poly(tmp_path, EAR)
+    for command in ("solve", "verify"):
+        calls.clear()
+        assert main([command, str(path)]) == 0
+        assert len(calls) == 1, command
+    capsys.readouterr()
+
+
+def test_failed_internal_checks_exit_3(tmp_path, monkeypatch, capsys):
+    path = write_poly(tmp_path, EAR)
+    with monkeypatch.context() as m:
+        m.setattr("slidecam.pipeline.covers_polygon", lambda P, cameras: False)
+        for command in ("solve", "verify"):
+            assert main([command, str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("internal error: ")
+    monkeypatch.setattr("slidecam.pipeline.camera_guards_camera", lambda P, g, t: False)
+    assert main(["verify", str(path)]) == 3
+    assert "internal error: " in capsys.readouterr().err

@@ -175,3 +175,47 @@ def test_parallel_guarding_equals_domination_on_reflex_chords():
                 if d != c and d.orientation == c.orientation:
                     got = sc.camera_guards_camera(P, d, c)
                     assert got == sc.dominates(P, d, c), (seed, str(d), str(c))
+
+
+def strip_guards(P, guard, target):
+    """Region-algebra reference for parallel tracks: the strip between
+    them, over the target's span, lies inside P."""
+    if guard.is_vertical:
+        P, guard, target = P.transposed(), guard.transposed(), target.transposed()
+    if target.lo < guard.lo or target.hi > guard.hi:
+        return False
+    if target.anchor == guard.anchor:
+        return True
+    y0, y1 = sorted((guard.anchor, target.anchor))
+    strip = sc.from_rects([(target.lo, target.hi, y0, y1)])
+    return sc.region_contains(sc.polygon_region(P), strip)
+
+
+def boundary_edges(P):
+    for a, b in P.edges():
+        yield H(a.y, a.x, b.x) if a.y == b.y else V(a.x, a.y, b.y)
+
+
+def test_parallel_guarding_matches_strip_containment():
+    # ordered same-orientation pairs of reflex chords and boundary edges
+    outcomes = {True: 0, False: 0}
+    for seed in range(1, 201):
+        P = sc.generate_polygon(seed, corpus_target(seed))
+        tracks = sorted(set(sc.reflex_chords(P)) | set(boundary_edges(P)))
+        for d in tracks:
+            for c in tracks:
+                if d.orientation != c.orientation:
+                    continue
+                want = strip_guards(P, d, c)
+                assert sc.camera_guards_camera(P, d, c) == want, (seed, str(d), str(c))
+                if d.anchor != c.anchor and d.lo <= c.lo and c.hi <= d.hi:
+                    outcomes[want] += 1
+    # the strip test itself decided many pairs each way
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def test_parallel_guarding_of_a_track_leaving_the_polygon():
+    # no vertical chord of the L meets y = 3 over 2 < x < 4
+    P = sc.validate_polygon(LSHAPE)
+    assert not sc.camera_guards_camera(P, H(0, 0, 4), H(3, 0, 4))
+    assert not sc.camera_guards_camera(P, V(0, 0, 4), V(3, 0, 4))
