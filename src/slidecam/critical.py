@@ -105,14 +105,7 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     candidates = list(candidates)
     seers: list[list[int]] = []
     for idx, r in enumerate(regions):
-        x0, x1, y0, y1 = r.bbox()
-        who = []
-        for k, s in enumerate(candidates):
-            # A track sees nothing beyond its own span, so one whose span
-            # misses part of the piece's extent along it cannot see it whole.
-            lo, hi = (x0, x1) if s.is_horizontal else (y0, y1)
-            if s.lo <= lo and hi <= s.hi and guards_entirely(P, s, r):
-                who.append(k)
+        who = [k for k, s in enumerate(candidates) if guards_entirely(P, s, r)]
         if not who:
             raise UnguardableRegion(f"no track sees leftover piece {idx} whole")
         seers.append(who)

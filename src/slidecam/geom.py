@@ -215,15 +215,6 @@ class OrthoPolygon:
             return events[i]
         return gaps[i - 1]
 
-    def point_in_scaled(self, X: int, Y: int) -> bool:
-        """Closed containment of the point (X/2, Y/2)."""
-        for lo, hi in self._line_intervals(X):
-            if lo > Y:
-                return False
-            if Y <= hi:
-                return True
-        return False
-
     def chord_scaled(self, X: int, Y: int, orientation: str):
         """Maximal inside interval through (X/2, Y/2), or None if outside.
 
@@ -365,7 +356,8 @@ def contains_point(P: OrthoPolygon, p: Point) -> str:
         else:
             if p.x == a.x and min(a.y, b.y) <= p.y <= max(a.y, b.y):
                 return BOUNDARY
-    return INTERIOR if P.point_in_scaled(2 * p.x, 2 * p.y) else OUTSIDE
+    inside = P.chord_scaled(2 * p.x, 2 * p.y, VERTICAL) is not None
+    return INTERIOR if inside else OUTSIDE
 
 
 def max_chord(P: OrthoPolygon, p: Point, orientation: str) -> OrthoSegment:

@@ -15,7 +15,8 @@ distinct maximal chords d and c of one orientation, vis(d) contains vis(c)
 exactly when d guards c as a track: c's span lies inside d's, and the strip
 between the two tracks lies inside P (tests/test_visibility.py checks the
 equivalence against region containment), which is a range check on d's
-anchor against c's clearance (visibility._clearance).
+anchor against c's clearance (visibility._clearance): the common part of
+c's per-slab chords.
 """
 
 from __future__ import annotations
@@ -58,13 +59,6 @@ class IntersectionGraph:
 
     n: int
     edges: tuple[tuple[int, int], ...]
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return [sorted(a) for a in adj]
 
     def neighbor_masks(self) -> list[int]:
         masks = [0] * self.n
@@ -177,12 +171,12 @@ def is_connected(g) -> bool:
     graph = g if isinstance(g, IntersectionGraph) else intersection_graph(g)
     if graph.n <= 1:
         return True
-    adj = graph.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        for j in adj[stack.pop()]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == graph.n
+    masks = graph.neighbor_masks()
+    seen = todo = 1
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        fresh = masks[low.bit_length() - 1] & ~seen
+        seen |= fresh
+        todo |= fresh
+    return seen == (1 << graph.n) - 1

@@ -2,17 +2,17 @@
 
 A camera travels along a closed axis-parallel track segment s inside the
 polygon and sees a point p when the perpendicular from p onto the line
-through s meets s and lies entirely inside the polygon. The full-area part
-of the visible set of a horizontal track is a union of slabs: over each
-x-range between polygon events the visible points form one rectangle, namely
-the vertical chord through the track clipped to nothing (the chord itself).
+through s meets s and lies entirely inside the polygon. Over each open slab
+of a horizontal track's span between polygon x-events P's cross-section is
+fixed, so the track sees one vertical chord there. Those slab chords are the
+primitive: camera_visibility is their union, _clearance their common part,
+and guards_entirely reads them directly. Vertical tracks work transposed.
 
-camera_visibility returns that region in regularized form. True visibility
-may additionally include zero-area whiskers on event lines (a chord can be
-longer on a single line than on both sides of it); those never matter for
-covering full-dimensional regions, but they do matter for camera-to-camera
-guarding, which is why camera_guards_camera works on exact chords instead of
-regions.
+The visible set is regularized. True visibility may additionally include
+zero-area whiskers on event lines (a chord can be longer on a single line
+than on both sides of it); those never matter for covering full-dimensional
+regions, but they do matter for camera-to-camera guarding, which is why
+camera_guards_camera works on exact chords instead of regions.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import SegmentNotInside
-from .geom import HORIZONTAL, VERTICAL, OrthoPolygon, OrthoSegment
+from .geom import VERTICAL, OrthoPolygon, OrthoSegment
 from .region import (
-    EMPTY_REGION,
     RectilinearRegion,
     from_rects,
     polygon_region,
@@ -32,11 +31,33 @@ from .region import (
 )
 
 
-def _check_track(P: OrthoPolygon, s: OrthoSegment) -> None:
-    """A track must lie inside the closed polygon. Horizontal tracks only."""
-    iv = P.chord_scaled(2 * s.lo, 2 * s.anchor, HORIZONTAL)
-    if iv is None or iv[1] < 2 * s.hi:
+def _slab_chords(P: OrthoPolygon, s: OrthoSegment):
+    """(x0, x1, lo, hi) per open slab of s's span, in s's horizontal frame:
+    the chord through s over x0 < x < x1, with lo and hi scaled by two.
+    None when some slab has no chord. Cached on P under s."""
+    cache = P._cache.setdefault("slab_chords", {})
+    if s in cache:
+        return cache[s]
+    Q, t = (P.transposed(), s.transposed()) if s.is_vertical else (P, s)
+    xs = Q.vertex_xs()
+    cuts = [t.lo, *xs[bisect_right(xs, t.lo) : bisect_left(xs, t.hi)], t.hi]
+    slabs = list(zip(cuts, cuts[1:]))
+    ivs = [Q.chord_scaled(a + b, 2 * t.anchor, VERTICAL) for a, b in slabs]
+    out = None if None in ivs else [ab + iv for ab, iv in zip(slabs, ivs)]
+    cache[s] = out
+    return out
+
+
+def _inside_chords(P: OrthoPolygon, s: OrthoSegment):
+    """Slab chords of a camera track, or ValueError when it is degenerate
+    and SegmentNotInside when it leaves P: for a track of positive length,
+    a slab without a chord is exactly a piece of it outside closed P."""
+    if s.is_degenerate:
+        raise ValueError("camera track must have positive length")
+    chords = _slab_chords(P, s)
+    if chords is None:
         raise SegmentNotInside(f"track {s} leaves the polygon")
+    return chords
 
 
 def camera_visibility(P: OrthoPolygon, s: OrthoSegment) -> RectilinearRegion:
@@ -45,44 +66,27 @@ def camera_visibility(P: OrthoPolygon, s: OrthoSegment) -> RectilinearRegion:
     The track may be a boundary edge or touch the boundary; it must not be
     degenerate. Raises SegmentNotInside when s is not contained in P.
     """
-    if s.is_degenerate:
-        raise ValueError("camera track must have positive length")
-    if s.is_vertical:
-        return camera_visibility(P.transposed(), s.transposed()).transposed()
-    _check_track(P, s)
     cache = P._cache.setdefault("vis", {})
-    hit = cache.get(s)
-    if hit is not None:
-        return hit
-    xs = [s.lo] + [x for x in P.vertex_xs() if s.lo < x < s.hi] + [s.hi]
-    rects = []
-    Y = 2 * s.anchor
-    for i in range(len(xs) - 1):
-        X = xs[i] + xs[i + 1]  # doubled midpoint of the slab
-        iv = P.chord_scaled(X, Y, VERTICAL)
-        # The track is inside P, so every slab it spans has a chord.
-        assert iv is not None
-        rects.append((xs[i], xs[i + 1], iv[0] // 2, iv[1] // 2))
-    out = from_rects(rects)
-    cache[s] = out
+    out = cache.get(s)
+    if out is None:
+        chords = _inside_chords(P, s)
+        out = from_rects((x0, x1, lo // 2, hi // 2) for x0, x1, lo, hi in chords)
+        if s.is_vertical:
+            out = out.transposed()
+        cache[s] = out
     return out
 
 
 def _clearance(P: OrthoPolygon, c: OrthoSegment) -> tuple[int, int] | None:
     """Scaled range (lo, hi) of anchors from which a parallel track sees all
     of c, given the span; None when some slab has no chord. Over one open
-    slab of c's span P's cross-section is fixed, so the strip between c and
-    the track lies in P there exactly when the track's anchor lies in the
-    slab's chord through c; event lines are ignored, as by visible sets."""
-    if c.is_vertical:
-        P, c = P.transposed(), c.transposed()
-    xs = P.vertex_xs()
-    cuts = [c.lo, *xs[bisect_right(xs, c.lo) : bisect_left(xs, c.hi)], c.hi]
-    Y = 2 * c.anchor
-    ivs = [P.chord_scaled(a + b, Y, VERTICAL) for a, b in zip(cuts, cuts[1:])]
-    if None in ivs:
+    slab of c's span the strip between c and the track lies in P exactly
+    when the track's anchor lies in the slab's chord through c; event lines
+    are ignored, as by visible sets."""
+    chords = _slab_chords(P, c)
+    if chords is None:
         return None
-    return max(lo for lo, _ in ivs), min(hi for _, hi in ivs)
+    return max(ch[2] for ch in chords), min(ch[3] for ch in chords)
 
 
 def visible_union(P: OrthoPolygon, segments) -> RectilinearRegion:
@@ -94,8 +98,23 @@ def covers_polygon(P: OrthoPolygon, segments) -> bool:
 
 
 def guards_entirely(P: OrthoPolygon, s: OrthoSegment, r: RectilinearRegion) -> bool:
-    """Does the camera on s see every point of the full-dimensional region r?"""
-    return region_contains(camera_visibility(P, s), r)
+    """Does the camera on s see every point of the full-dimensional region r?
+
+    Each rect of r must lie inside s's span and, over every slab it overlaps
+    with positive width, inside that slab's chord. Raises like
+    camera_visibility for a bad track.
+    """
+    chords = _inside_chords(P, s)
+    rects = r.rects
+    if s.is_vertical:
+        rects = [(y0, y1, x0, x1) for x0, x1, y0, y1 in rects]
+    for x0, x1, y0, y1 in rects:
+        if x0 < s.lo or s.hi < x1:
+            return False
+        for a, b, lo, hi in chords:
+            if a < x1 and x0 < b and not (lo <= 2 * y0 and 2 * y1 <= hi):
+                return False
+    return True
 
 
 def dominates(P: OrthoPolygon, a: OrthoSegment, b: OrthoSegment) -> bool:

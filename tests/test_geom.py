@@ -88,7 +88,8 @@ def test_contains_point_matches_ray_casting():
                 got = sc.contains_point(P, sc.Point(x2 // 2, y2 // 2))
                 assert got == want, (seed, x2, y2)
             else:
-                assert P.point_in_scaled(x2, y2) == (want != brute.OUTSIDE)
+                inside = P.chord_scaled(x2, y2, sc.VERTICAL) is not None
+                assert inside == (want != brute.OUTSIDE)
 
 
 def test_contains_point_labels():

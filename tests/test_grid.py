@@ -100,7 +100,6 @@ def test_intersection_graph_closed_touching():
     graph = sc.intersection_graph(tracks)
     assert graph.n == 4
     assert graph.edges == ((0, 1), (0, 2))
-    assert graph.adjacency() == [[1, 2], [0], [0], []]
     masks = graph.neighbor_masks()
     assert masks == [0b0110, 0b0001, 0b0001, 0b0000]
 

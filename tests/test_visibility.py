@@ -219,3 +219,84 @@ def test_parallel_guarding_of_a_track_leaving_the_polygon():
     P = sc.validate_polygon(LSHAPE)
     assert not sc.camera_guards_camera(P, H(0, 0, 4), H(3, 0, 4))
     assert not sc.camera_guards_camera(P, V(0, 0, 4), V(3, 0, 4))
+
+
+def outcome(f, *args):
+    """f's result, or the class of the error it raised."""
+    try:
+        return f(*args)
+    except (ValueError, sc.SegmentNotInside) as e:
+        return type(e)
+
+
+def region_guards(P, s, r):
+    return sc.region_contains(sc.camera_visibility(P, s), r)
+
+
+def test_guards_entirely_matches_region_containment_on_pipeline_pieces(monkeypatch):
+    # every grid track against every leftover piece the pipeline examines,
+    # the non-staircase pieces of discarded optima included
+    from slidecam import critical
+
+    pieces = []
+
+    def recorded(r):
+        pieces.append(r)
+        return sc.is_staircase(r)
+
+    monkeypatch.setattr(critical, "is_staircase", recorded)
+    cases = [(seed, corpus_target(seed)) for seed in range(1, 201)]
+    cases += [(119, 240), (386, 240)]
+    seen = set()
+    for seed, n in cases:
+        P = sc.generate_polygon(seed, n)
+        pieces.clear()
+        run = sc.run_pipeline(P)
+        for r in set(pieces):
+            for s in run.grid.segments:
+                want = region_guards(P, s, r)
+                assert sc.guards_entirely(P, s, r) == want, (seed, str(s), r.rects)
+                seen.add(want)
+    assert seen == {True, False}
+
+
+def test_guards_entirely_matches_region_containment_on_random_input():
+    rng = random.Random(5)
+    seen = set()
+    for seed in range(1, 61):
+        P = sc.generate_polygon(seed, corpus_target(seed))
+        x0, y0, x1, y1 = P.bbox()
+        chords = sc.reflex_chords(P)
+        tracks = chords + list(boundary_edges(P))
+        for c in chords:
+            a, b = rng.randint(c.lo, c.hi), rng.randint(c.lo, c.hi)
+            tracks.append(sc.OrthoSegment(c.orientation, c.anchor, min(a, b), max(a, b)))
+            tracks.append(sc.OrthoSegment(c.orientation, c.anchor, c.lo, c.hi + 1))
+        for _ in range(4):
+            o = rng.choice([sc.HORIZONTAL, sc.VERTICAL])
+            lo, hi = (x0, x1) if o == sc.HORIZONTAL else (y0, y1)
+            a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+            anchor = rng.randint(y0, y1) if o == sc.HORIZONTAL else rng.randint(x0, x1)
+            tracks.append(sc.OrthoSegment(o, anchor, min(a, b), max(a, b)))
+        cells = sc.polygon_region(P).rects
+        regions = []
+        for _ in range(12):
+            rects = []
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.5:
+                    # part of the polygon, often touching its boundary
+                    u0, u1, v0, v1 = rng.choice(cells)
+                    a, b = sorted(rng.sample(range(u0, u1 + 1), 2))
+                    c, d = sorted(rng.sample(range(v0, v1 + 1), 2))
+                else:
+                    a, b = sorted(rng.sample(range(x0 - 1, x1 + 2), 2))
+                    c, d = sorted(rng.sample(range(y0 - 1, y1 + 2), 2))
+                rects.append((a, b, c, d))
+            regions.append(sc.from_rects(rects))
+        for s in tracks:
+            for r in regions:
+                want = outcome(region_guards, P, s, r)
+                got = outcome(sc.guards_entirely, P, s, r)
+                assert got == want, (seed, str(s), r.rects)
+                seen.add(want)
+    assert seen == {True, False, ValueError, sc.SegmentNotInside}
