@@ -7,40 +7,44 @@ and exempted from the neighbor rule, since nothing could ever watch them.
 
 The solver is exact and returns the lexicographically smallest optimum as a
 sorted index tuple. It rebuilds the answer one smallest feasible index at a
-time, asking at each step how many picks the rest still needs. A grid graph
-is bipartite (chords of one orientation never meet), so that size question
-splits by colour class: picks of one class dominate only the other class,
-and the fewest picks that can do it is the sum of two independent set-cover
-minima, each found by a bitmask branch and bound on its half alone and
-remembered for the rest of the enumeration. The sum is exactly the
-whole-graph answer, so the optima and their order do not depend on the
-split. A graph with an odd cycle is one half whose targets and sources are
-all of it.
+time, asking at each step whether the picks left can still dominate the
+nodes left. That question is set cover on the domination matrix: a row per
+non-isolated node as a target, a column per node as a source, and a 1 where
+the two are adjacent.
+
+On a grid graph one greedy pass answers it exactly. Order the matrix so
+that no 2x2 submatrix reads [[1, 1], [1, 0]] (a Γ), walk the rows in order,
+and pick for each row not yet dominated its allowed column that comes last.
+The rows before it are dominated already, and with no Γ that last column
+holds every later row that any other column of this row holds, so some
+optimum makes the same pick (Hoffman, Kolen & Sakarovitch, 1985). Deleting
+dominated rows and disallowed columns leaves a Γ-free matrix Γ-free in the
+induced order, so the pass is exact for every question the rebuild asks.
+
+A matrix has a Γ-free order exactly when it is totally balanced, and then
+every doubly lexical order is one (Lubiw, 1987). A grid graph is bipartite
+(chords of one orientation never meet) and chordal bipartite (a maximal
+chord through a reflex corner of the region that a longer induced cycle
+would bound runs on across it, since P has no holes). The domination matrix
+of a bipartite graph is two disjoint copies of its biadjacency matrix, one
+per colour class, so it is totally balanced, and one pass over the whole
+graph answers both classes at once.
+
+The order comes from alternating two stable sorts until neither moves
+anything: rows ascending as binary numbers whose digits are the columns,
+the last column most significant, then columns the same way over the rows.
+Read row by row from its bottom-right corner, the matrix is
+lexicographically no smaller after each sort, and strictly larger whenever
+anything moved, so the loop ends. The order is then checked for a Γ
+directly. Where one remains (an odd cycle, or a bipartite graph that is not
+chordal, reachable only through the public API) the question goes to an
+exhaustive bitmask search on the whole graph, and the size of an optimum
+comes from iterative deepening.
 """
 
 from __future__ import annotations
 
 from .grid import IntersectionGraph
-
-
-def _most_covered(adj: list[int], targets: int, sources: int) -> int:
-    """The most targets that one pick from `sources` dominates."""
-    most = 0
-    m = sources
-    while m:
-        u = (m & -m).bit_length() - 1
-        m &= m - 1
-        w = bin(adj[u] & targets).count("1")
-        if w > most:
-            most = w
-    return most
-
-
-def _coverage_bound(adj: list[int], targets: int, sources: int) -> int:
-    """Fewest picks that could dominate `targets` by count alone, the bound
-    `_search` prunes with; 0 when no source reaches any target."""
-    most = _most_covered(adj, targets, sources)
-    return -(-bin(targets).count("1") // most) if most else 0
 
 
 def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int) -> bool:
@@ -51,7 +55,7 @@ def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int) 
     if left == 0:
         return False
     # Every missing node needs an allowed neighbor picked eventually; branch
-    # later on the one with the fewest options.
+    # on the one with the fewest options.
     pick_node = -1
     pick_cover = -1
     m = undom
@@ -64,12 +68,6 @@ def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int) 
         c = bin(cand).count("1")
         if pick_node < 0 or c < pick_cover:
             pick_node, pick_cover = v, c
-    # Bound: one pick newly dominates at most cover_max missing nodes.
-    cover_max = _most_covered(adj, undom, allowed)
-    if cover_max == 0 or bin(undom).count("1") > left * cover_max:
-        return False
-    # Branch on the most constrained missing node: one of its allowed
-    # neighbors must be picked.
     cand = adj[pick_node] & allowed
     while cand:
         u = (cand & -cand).bit_length() - 1
@@ -79,34 +77,33 @@ def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int) 
     return False
 
 
-def _colour_classes(adj: list[int], full: int) -> tuple[tuple[int, int], ...]:
-    """(targets, sources) halves of the cover problem on the nodes of `full`.
+def _gamma_free_order(nbrs: dict[int, list[int]]) -> tuple[list[int], list[int]] | None:
+    """Rows and columns of the domination matrix in a doubly lexical
+    order, or None if that order still holds a Γ."""
 
-    A BFS 2-colouring gives two halves, each colour class dominated from the
-    other; an odd cycle gives one half with the whole graph on both sides.
-    """
-    side = [0, 0]
-    seen = 0
-    todo = full
-    while todo:
-        frontier = todo & -todo
-        c = 0
-        side[0] |= frontier
-        seen |= frontier
-        while frontier:
-            reach = 0
-            while frontier:
-                v = (frontier & -frontier).bit_length() - 1
-                frontier &= frontier - 1
-                reach |= adj[v]
-            if reach & side[c]:
-                return ((full, full),)
-            c ^= 1
-            frontier = reach & ~seen
-            side[c] |= frontier
-            seen |= frontier
-        todo &= ~seen
-    return ((side[0], side[1]), (side[1], side[0]))
+    def keys(order: list[int]) -> dict[int, int]:
+        # each node's neighbors as a binary number, digit p for order[p]
+        digit = {u: 1 << p for p, u in enumerate(order)}
+        return {v: sum(map(digit.__getitem__, nbrs[v])) for v in nbrs}
+
+    rows, cols = list(nbrs), list(nbrs)
+    moved = True
+    while moved:
+        # once the cols stay put, the rows just sorted against them do too
+        row_key = keys(cols)
+        rows = sorted(rows, key=row_key.__getitem__)
+        new_cols = sorted(cols, key=keys(rows).__getitem__)
+        moved = new_cols != cols
+        cols = new_cols
+    # Γ-free: per column, each two consecutive rows holding it are nested
+    # in the columns after it.
+    row_pos = {v: p for p, v in enumerate(rows)}
+    for p, u in enumerate(cols):
+        held = sorted(nbrs[u], key=row_pos.__getitem__)
+        for a, b in zip(held, held[1:]):
+            if (row_key[a] & ~row_key[b]) >> (p + 1):
+                return None
+    return rows, cols
 
 
 def optimal_covers(graph: IntersectionGraph):
@@ -128,42 +125,43 @@ def optimal_covers(graph: IntersectionGraph):
     if not rest:
         yield tuple(isolated)
         return
-    full = 0
-    for v in rest:
-        full |= 1 << v
-    allowed0 = full
-    halves = _colour_classes(adj, full)
+    full = sum(1 << v for v in rest)
+    nbrs = {v: [u for u in rest if (adj[v] >> u) & 1] for v in rest}
+    order = _gamma_free_order(nbrs)
 
-    # (targets, sources) -> (lower bound, whether it is the minimum)
-    memo: dict[tuple[int, int], tuple[int, bool]] = {}
+    if order is None:
 
-    def least(key: tuple[int, int], floor: int, cap: int) -> int:
-        """Fewest picks from key's sources that dominate its targets, given
-        that it is at least `floor`; any number above `cap` if it is more."""
-        lo, exact = memo.get(key) or (_coverage_bound(adj, *key), False)
-        lo = max(lo, floor)
-        while not exact and lo <= cap:
-            exact = _search(adj, key[0], lo, 0, key[1])
-            if not exact:
-                lo += 1
-        memo[key] = (lo, exact)
-        return lo
+        def fits(dominated: int, allowed: int, left: int) -> bool:
+            """Can `left` more picks from `allowed` dominate the rest?"""
+            return _search(adj, full, left, dominated, allowed)
 
-    def fits(dominated: int, allowed: int, left: int) -> bool:
-        """Can `left` more picks from `allowed` dominate the rest?
+        k = 0
+        while not fits(0, full, k):
+            k += 1
+    else:
+        rows, cols = order
+        col_pos = {u: p for p, u in enumerate(cols)}
+        # each row's sources, the one that comes last in column order first
+        choices = {v: sorted(nbrs[v], key=col_pos.__getitem__, reverse=True) for v in rest}
 
-        Every remainder needs at least `left` picks, or the picks so far
-        would complete a cover smaller than k; so the last half needs at
-        least what the others leave.
-        """
-        *others, last = [(t & ~dominated, s & allowed) for t, s in halves]
-        for key in others:
-            left -= least(key, 0, left)
-            if left < 0:
-                return False
-        return least(last, left, left) <= left
+        def greedy(dominated: int, allowed: int) -> int:
+            """Fewest picks from `allowed` that dominate the rest; more
+            than n if none do."""
+            count = 0
+            for v in rows:
+                if not (dominated >> v) & 1:
+                    u = next((u for u in choices[v] if (allowed >> u) & 1), None)
+                    if u is None:
+                        return n + 1
+                    dominated |= adj[u]
+                    count += 1
+            return count
 
-    k = sum(least(key, 0, len(rest)) for key in halves)
+        def fits(dominated: int, allowed: int, left: int) -> bool:
+            """Can `left` more picks from `allowed` dominate the rest?"""
+            return greedy(dominated, allowed) <= left
+
+        k = greedy(0, full)
 
     picks: list[int] = []
 
@@ -181,7 +179,7 @@ def optimal_covers(graph: IntersectionGraph):
                 yield from emit(dominated | adj[j], nxt_allowed)
                 picks.pop()
 
-    yield from emit(0, allowed0)
+    yield from emit(0, full)
 
 
 def minimum_guarded_cover(graph: IntersectionGraph) -> tuple[int, ...]:

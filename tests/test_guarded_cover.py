@@ -7,9 +7,11 @@ lexicographically smallest optimum, and enumerate all optima in order.
 import random
 from itertools import combinations, islice
 
+import pytest
+
 import brute
 import slidecam as sc
-from slidecam.guarded_cover import _search
+from slidecam.guarded_cover import _gamma_free_order, _search
 
 
 def graph_of(n, edges):
@@ -132,12 +134,60 @@ def components_with_edges(n, edges):
     return len({root(i) for e in edges for i in e})
 
 
+def random_tree(rng, n):
+    """Edges of a random tree on n shuffled nodes."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    return [tuple(sorted((nodes[i], nodes[rng.randrange(i)]))) for i in range(1, n)]
+
+
+def interval_point_bigraph(rng, n):
+    """Edges of a random bigraph on n shuffled nodes: points 0..a-1 on a
+    line, and intervals over them, each joined to the points it holds."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    a = rng.randint(1, max(1, n - 1))
+    edges = []
+    for interval in nodes[a:]:
+        lo, hi = sorted(rng.randrange(a) for _ in range(2))
+        edges += [tuple(sorted((interval, nodes[x]))) for x in range(lo, hi + 1)]
+    return edges
+
+
+def long_cycle_bigraph(rng, n):
+    """Edges of an induced even cycle of 6 or more of n >= 6 shuffled nodes,
+    with the other nodes hung on it as a random forest: bipartite, but not
+    totally balanced."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    size = rng.randrange(6, n + 1, 2)
+    edges = [(nodes[i], nodes[(i + 1) % size]) for i in range(size)]
+    edges += [(nodes[i], nodes[rng.randrange(i)]) for i in range(size, n)]
+    return [tuple(sorted(e)) for e in edges]
+
+
+def neighbor_lists(graph):
+    masks = graph.neighbor_masks()
+    return {v: [u for u in range(graph.n) if (m >> u) & 1] for v, m in enumerate(masks) if m}
+
+
+def takes_greedy_path(graph):
+    """Whether optimal_covers answers `graph` by the greedy pass rather
+    than by `_search`: its domination matrix has a Γ-free order."""
+    return _gamma_free_order(neighbor_lists(graph)) is not None
+
+
 def test_optima_enumeration_matches_brute_on_bipartite_graphs():
     rng = random.Random(23)
     kinds = {"isolated": 0, "connected": 0, "split": 0}
-    for trial in range(250):
-        n = rng.randint(1, 12)
-        edges = random_bipartite(rng, n)
+    paths = {"greedy": 0, "search": 0}
+    # trees and interval-point bigraphs are totally balanced, long induced
+    # cycles are not
+    makers = [(random_bipartite, 1)] * 250
+    makers += [(random_tree, 1), (interval_point_bigraph, 1), (long_cycle_bigraph, 6)] * 50
+    for trial, (make, smallest) in enumerate(makers):
+        n = rng.randint(smallest, 12)
+        edges = make(rng, n)
         g = graph_of(n, edges)
         if any(m == 0 for m in g.neighbor_masks()):
             kinds["isolated"] += 1
@@ -145,8 +195,11 @@ def test_optima_enumeration_matches_brute_on_bipartite_graphs():
             kinds["split"] += 1
         else:
             kinds["connected"] += 1
+        if edges:
+            paths["greedy" if takes_greedy_path(g) else "search"] += 1
         assert list(sc.optimal_covers(g)) == brute_optima(g), (trial, g.edges)
     assert min(kinds.values()) >= 25, kinds
+    assert min(paths.values()) >= 50, paths
 
 
 def test_solver_matches_brute_on_larger_graphs():
@@ -172,8 +225,8 @@ def test_is_guarded_cover_requires_neighbor_inside():
 
 def reference_covers(graph):
     """optimal_covers with the whole-graph `_search` answering every size
-    question, as before the colour-class split; `k` comes from iterative
-    deepening."""
+    question, as the solver's fallback does on graphs without a Γ-free
+    order; `k` comes from iterative deepening."""
     n = graph.n
     adj = graph.neighbor_masks()
     isolated = [v for v in range(n) if adj[v] == 0]
@@ -218,3 +271,68 @@ def test_size_matches_whole_graph_search_at_400_vertices():
         assert sc.is_guarded_cover(g, got)
         k, _emit = reference_covers(g)
         assert len(got) == k, seed
+
+
+def chordal_bipartite(graph):
+    """Whether deleting bisimplicial edges one at a time, keeping their
+    ends, deletes every edge; for a bipartite graph that holds exactly when
+    it has no induced cycle longer than 4 (Golumbic & Goss 1978)."""
+    nb = graph.neighbor_masks()
+    edges = set(graph.edges)
+
+    def bisimplicial(u, v):
+        # every neighbor of u is adjacent to every neighbor of v
+        return all(nb[v] & ~nb[x] == 0 for x in range(graph.n) if (nb[u] >> x) & 1)
+
+    while edges:
+        e = next((e for e in sorted(edges) if bisimplicial(*e)), None)
+        if e is None:
+            return False
+        edges.remove(e)
+        u, v = e
+        nb[u] &= ~(1 << v)
+        nb[v] &= ~(1 << u)
+    return True
+
+
+def test_cycle_controls():
+    c4 = graph_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c6 = graph_of(6, [(i, i + 1) for i in range(5)] + [(0, 5)])
+    assert chordal_bipartite(c4) and takes_greedy_path(c4)
+    assert not chordal_bipartite(c6) and not takes_greedy_path(c6)
+
+
+def test_grid_graphs_are_chordal_bipartite_and_take_the_greedy_path(corpus):
+    polygons = [P for _seed, P in corpus[:300]]
+    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 11)]
+    for P in polygons:
+        grid = sc.prune_dominated(P, tuple(sc.reflex_chords(P)))
+        g = sc.intersection_graph(grid)
+        segments = grid.segments
+        assert all(segments[i].orientation != segments[j].orientation for i, j in g.edges)
+        assert chordal_bipartite(g), g.edges
+        assert takes_greedy_path(g), g.edges
+
+
+@pytest.mark.parametrize("seed, n", [(2, 960), (1, 640)])
+def test_pipeline_cover_certified_by_a_packing(seed, n):
+    """No two targets of a packing share a neighbor, so a guarded cover
+    picks a distinct node for each; a packing as large as the cover's
+    non-isolated picks proves it minimum without any search."""
+    run = sc.run_pipeline(sc.generate_polygon(seed, n))
+    g = run.graph
+    adj = g.neighbor_masks()
+    assert sc.is_guarded_cover(g, run.chosen)
+    nbrs = neighbor_lists(g)
+    rows, cols = _gamma_free_order(nbrs)
+    col_pos = {u: p for p, u in enumerate(cols)}
+    # the targets where the greedy pass picks
+    packing = []
+    dominated = watched = 0
+    for v in rows:
+        if not (dominated >> v) & 1:
+            assert adj[v] & watched == 0, v
+            watched |= adj[v]
+            packing.append(v)
+            dominated |= adj[max(nbrs[v], key=col_pos.__getitem__)]
+    assert len(run.chosen) - adj.count(0) == len(packing) > 0
