@@ -4,7 +4,8 @@ Subcommands: solve a polygon file, generate a random instance, and verify
 the approximation bounds (verify solves once and checks the result against
 the brute-force optima). Exit codes: 0 ok, 1 a bound was violated, 2 bad
 input (or, for gen, a vertex count the generator gave up on), 3 an internal
-check failed, 4 an oracle cap was exceeded under --strict.
+check failed, 4 the solver's search exceeded its cap (TooLarge) or, under
+verify --strict, an oracle cap was exceeded.
 """
 
 from __future__ import annotations
@@ -189,6 +190,9 @@ def main(argv=None) -> int:
     except (ParseError, PolygonError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT
+    except TooLarge as e:
+        print(f"error: {e}", file=sys.stderr)
+        return CAP_EXCEEDED
     except (SlidecamError, AssertionError) as e:
         print(f"internal error: {e}", file=sys.stderr)
         return INTERNAL

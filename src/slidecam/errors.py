@@ -4,7 +4,8 @@ Geometry validation errors signal bad input; the *Violation errors are
 internal assertion failures and indicate a bug when raised on valid input.
 NonStaircaseResidue is not one of them: some optimal grid covers leave a
 piece that is not a staircase, and the pipeline then moves on to the next
-optimum. It escapes only when no optimum leaves staircases alone.
+optimum. It escapes only when no optimum leaves staircases alone; after
+MAX_OPTIMA misses the walk gives up with TooLarge instead.
 """
 
 
@@ -65,4 +66,5 @@ class CoverageViolation(SlidecamError):
 
 
 class TooLarge(SlidecamError):
-    """Instance exceeds the cap for exhaustive optimum computation."""
+    """A search exceeded its cap: an oracle's instance size, the optima the
+    pipeline walks, or the nodes of the fallback cover search."""

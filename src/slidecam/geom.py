@@ -187,20 +187,22 @@ class OrthoPolygon:
         if out is not None:
             return out
         XS = [2 * x for x in self.vertex_xs()]
-        hedges = []
+        # A horizontal edge's y toggles in and out of the crossing set at its
+        # end x's. Validation keeps two horizontal edges at one y from
+        # touching, so no column crosses both and toggling is exact.
+        toggles: dict[int, list[int]] = {X: [] for X in XS}
         for a, b in self.edges():
             if a.y == b.y:
-                hedges.append((2 * a.y, 2 * min(a.x, b.x), 2 * max(a.x, b.x)))
+                toggles[2 * a.x].append(2 * a.y)
+                toggles[2 * b.x].append(2 * a.y)
+        crossing: set[int] = set()
         gaps = []
-        for i in range(len(XS) - 1):
-            X = XS[i] + 1
-            ys = sorted(Y for Y, A, B in hedges if A < X < B)
-            gaps.append(tuple((ys[k], ys[k + 1]) for k in range(0, len(ys), 2)))
-        events = []
-        for i in range(len(XS)):
-            left = gaps[i - 1] if i > 0 else ()
-            right = gaps[i] if i < len(gaps) else ()
-            events.append(_merge_closed(list(left) + list(right)))
+        for X in XS[:-1]:
+            crossing.symmetric_difference_update(toggles[X])
+            ys = sorted(crossing)
+            gaps.append(tuple(zip(ys[::2], ys[1::2])))
+        padded = [(), *gaps, ()]
+        events = [_merge_closed(left + right) for left, right in zip(padded, padded[1:])]
         out = (XS, gaps, events)
         self._cache["columns"] = out
         return out

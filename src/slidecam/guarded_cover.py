@@ -39,16 +39,25 @@ anything moved, so the loop ends. The order is then checked for a Γ
 directly. Where one remains (an odd cycle, or a bipartite graph that is not
 chordal, reachable only through the public API) the question goes to an
 exhaustive bitmask search on the whole graph, and the size of an optimum
-comes from iterative deepening.
+comes from iterative deepening. One optimal_covers call may spend at most
+SEARCH_NODES nodes of that search and raises TooLarge past them.
 """
 
 from __future__ import annotations
 
+from .errors import TooLarge
 from .grid import IntersectionGraph
 
+# Fallback search nodes one optimal_covers call may spend: about half a
+# second, where the test suite's graphs need at most about 600.
+SEARCH_NODES = 100_000
 
-def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int) -> bool:
-    """Can `left` more picks from `allowed` dominate everything in `full`?"""
+
+def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int, nodes) -> bool:
+    """Can `left` more picks from `allowed` dominate everything in `full`?
+    Each call spends one item of the node budget, the iterator `nodes`."""
+    if next(nodes, None) is None:
+        raise TooLarge("fallback cover search ran out of its node budget")
     undom = full & ~dominated
     if undom == 0:
         return True
@@ -72,7 +81,7 @@ def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int) 
     while cand:
         u = (cand & -cand).bit_length() - 1
         cand &= cand - 1
-        if _search(adj, full, left - 1, dominated | adj[u], allowed & ~(1 << u)):
+        if _search(adj, full, left - 1, dominated | adj[u], allowed & ~(1 << u), nodes):
             return True
     return False
 
@@ -130,10 +139,11 @@ def optimal_covers(graph: IntersectionGraph):
     order = _gamma_free_order(nbrs)
 
     if order is None:
+        nodes = iter(range(SEARCH_NODES))
 
         def fits(dominated: int, allowed: int, left: int) -> bool:
             """Can `left` more picks from `allowed` dominate the rest?"""
-            return _search(adj, full, left, dominated, allowed)
+            return _search(adj, full, left, dominated, allowed, nodes)
 
         k = 0
         while not fits(0, full, k):

@@ -23,7 +23,7 @@ from .critical import (
     guards_from_cover,
     min_edge_cover,
 )
-from .errors import CoverageViolation, GuardednessViolation, NonStaircaseResidue
+from .errors import CoverageViolation, GuardednessViolation, NonStaircaseResidue, TooLarge
 from .geom import OrthoPolygon, OrthoSegment, reflex_vertices
 from .grid import Grid, IntersectionGraph, intersection_graph, prune_dominated, reflex_chords
 from .guarded_cover import optimal_covers
@@ -32,6 +32,9 @@ from .visibility import camera_guards_camera, covers_polygon
 
 FROM_S = "from_S"
 FROM_SC = "from_SC"
+# Optima run_pipeline draws before giving up with TooLarge; the longest walk
+# seen, on the 240-vertex polygon of seed 386, draws 97.
+MAX_OPTIMA = 1000
 
 
 @dataclass(frozen=True)
@@ -118,6 +121,8 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
             except NonStaircaseResidue as err:
                 if first_error is None:
                     first_error = err
+                if tried == MAX_OPTIMA:
+                    raise TooLarge(f"{tried} optima left non-staircase pieces") from first_error
                 continue
             chosen = attempt
             cover_segments = candidate

@@ -7,6 +7,11 @@ with identical interval stacks are re-joined. Two regions are equal as point
 sets exactly when their canonical rect tuples are equal, so regions can be
 hashed and compared directly.
 
+Two private pieces carry the algebra: _slabs gives each slab's merged
+closed y-intervals (from_rects is built on it), and _overlay walks the
+joint slabs of two regions, keeping each positive-length y-piece whose
+membership in the operands passes a rule (difference and intersection).
+
 The algebra is regularized: degenerate slivers (zero width or height) are
 dropped by construction, and difference is the closure of the open
 difference. Containment, emptiness and connectivity are exact for the
@@ -57,30 +62,28 @@ class RectilinearRegion:
 EMPTY_REGION = RectilinearRegion(())
 
 
+def _slabs(rects, xs):
+    """Merged closed y-intervals of the rects spanning each slab of xs."""
+    return [
+        _merge_closed([(r[2], r[3]) for r in rects if r[0] <= x0 and x1 <= r[1]])
+        for x0, x1 in zip(xs, xs[1:])
+    ]
+
+
 def from_rects(rects) -> RectilinearRegion:
     """Canonicalize an arbitrary rect collection into a region."""
     rects = [r for r in rects if r[0] < r[1] and r[2] < r[3]]
     if not rects:
         return EMPTY_REGION
     xs = sorted({x for r in rects for x in (r[0], r[1])})
-    columns = []
-    for i in range(len(xs) - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        ivs = _merge_closed(
-            [(r[2], r[3]) for r in rects if r[0] <= x0 and x1 <= r[1]]
-        )
-        columns.append((x0, x1, ivs))
     merged = []
-    for x0, x1, ivs in columns:
+    for x0, x1, ivs in zip(xs, xs[1:], _slabs(rects, xs)):
         if merged and merged[-1][1] == x0 and merged[-1][2] == ivs:
             merged[-1] = (merged[-1][0], x1, ivs)
         else:
             merged.append((x0, x1, ivs))
-    out = []
-    for x0, x1, ivs in merged:
-        for y0, y1 in ivs:
-            out.append((x0, x1, y0, y1))
-    return RectilinearRegion(tuple(out))
+    out = tuple((x0, x1, y0, y1) for x0, x1, ivs in merged for y0, y1 in ivs)
+    return RectilinearRegion(out)
 
 
 def region_union(a: RectilinearRegion, b: RectilinearRegion) -> RectilinearRegion:
@@ -88,69 +91,40 @@ def region_union(a: RectilinearRegion, b: RectilinearRegion) -> RectilinearRegio
 
 
 def region_union_all(regions) -> RectilinearRegion:
-    rects = []
-    for r in regions:
-        rects.extend(r.rects)
-    return from_rects(rects)
+    return from_rects([r for region in regions for r in region.rects])
 
 
-def _subtract_1d(ivs, cuts):
-    """Closed intervals ivs minus closed intervals cuts, regularized.
+def _overlay(a: RectilinearRegion, b: RectilinearRegion, keep) -> RectilinearRegion:
+    """The closure of the open points where keep(in a, in b) holds.
 
-    Leftover pieces of zero length are dropped; a cut that only grazes an
-    endpoint removes nothing.
+    Over each joint slab, both stacks' endpoints cut the slab into
+    positive-length pieces, each wholly in or out of an operand. Walking up,
+    one pointer per stack skips intervals ending at or below the piece's
+    floor y0, and the piece lies in the next interval if that starts by y0.
     """
+    xs = sorted({x for r in a.rects + b.rects for x in (r[0], r[1])})
     out = []
-    for lo, hi in ivs:
-        pieces = [(lo, hi)]
-        for clo, chi in cuts:
-            nxt = []
-            for plo, phi in pieces:
-                if chi <= plo or clo >= phi:
-                    nxt.append((plo, phi))
-                    continue
-                if plo < clo:
-                    nxt.append((plo, clo))
-                if chi < phi:
-                    nxt.append((chi, phi))
-            pieces = nxt
-        out.extend(p for p in pieces if p[0] < p[1])
-    return out
+    for x0, x1, a_ivs, b_ivs in zip(xs, xs[1:], _slabs(a.rects, xs), _slabs(b.rects, xs)):
+        ys = sorted({y for iv in a_ivs + b_ivs for y in iv})
+        na, nb = len(a_ivs), len(b_ivs)
+        i = j = 0
+        for y0, y1 in zip(ys, ys[1:]):
+            while i < na and a_ivs[i][1] <= y0:
+                i += 1
+            while j < nb and b_ivs[j][1] <= y0:
+                j += 1
+            if keep(i < na and a_ivs[i][0] <= y0, j < nb and b_ivs[j][0] <= y0):
+                out.append((x0, x1, y0, y1))
+    return from_rects(out)
 
 
 def region_difference(a: RectilinearRegion, b: RectilinearRegion) -> RectilinearRegion:
     """Regularized difference: the closure of interior(a) minus b."""
-    if a.is_empty or b.is_empty:
-        return a
-    xs = sorted(
-        {x for r in a.rects for x in (r[0], r[1])}
-        | {x for r in b.rects for x in (r[0], r[1])}
-    )
-    out = []
-    for i in range(len(xs) - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        a_ivs = _merge_closed(
-            [(r[2], r[3]) for r in a.rects if r[0] <= x0 and x1 <= r[1]]
-        )
-        if not a_ivs:
-            continue
-        b_ivs = _merge_closed(
-            [(r[2], r[3]) for r in b.rects if r[0] <= x0 and x1 <= r[1]]
-        )
-        for y0, y1 in _subtract_1d(a_ivs, b_ivs):
-            out.append((x0, x1, y0, y1))
-    return from_rects(out)
+    return _overlay(a, b, lambda in_a, in_b: in_a and not in_b)
 
 
 def region_intersection(a: RectilinearRegion, b: RectilinearRegion) -> RectilinearRegion:
-    out = []
-    for ax0, ax1, ay0, ay1 in a.rects:
-        for bx0, bx1, by0, by1 in b.rects:
-            x0, x1 = max(ax0, bx0), min(ax1, bx1)
-            y0, y1 = max(ay0, by0), min(ay1, by1)
-            if x0 < x1 and y0 < y1:
-                out.append((x0, x1, y0, y1))
-    return from_rects(out)
+    return _overlay(a, b, lambda in_a, in_b: in_a and in_b)
 
 
 def region_contains(a: RectilinearRegion, b: RectilinearRegion) -> bool:

@@ -147,6 +147,34 @@ def test_max_chord_matches_edge_scan_reference():
     assert kinds == {sc.INTERIOR, sc.BOUNDARY, sc.OUTSIDE}
 
 
+def reference_columns(P):
+    """_columns by rescanning every horizontal edge for each column."""
+    XS = [2 * x for x in P.vertex_xs()]
+    hedges = [
+        (2 * a.y, 2 * min(a.x, b.x), 2 * max(a.x, b.x)) for a, b in P.edges() if a.y == b.y
+    ]
+    gaps = []
+    for i in range(len(XS) - 1):
+        X = XS[i] + 1
+        ys = sorted(Y for Y, A, B in hedges if A < X < B)
+        gaps.append(tuple((ys[k], ys[k + 1]) for k in range(0, len(ys), 2)))
+    events = []
+    for i in range(len(XS)):
+        left = gaps[i - 1] if i > 0 else ()
+        right = gaps[i] if i < len(gaps) else ()
+        events.append(sc.geom._merge_closed(list(left) + list(right)))
+    return XS, gaps, events
+
+
+def test_columns_match_rescan_reference(corpus):
+    polygons = [P for _seed, P in corpus]
+    polygons += [sc.generate_polygon(s, 240) for s in (1, 2)]
+    polygons += [sc.validate_polygon(v) for v in NAMED.values()]
+    for P in polygons:
+        for Q in (P, P.transposed()):
+            assert Q._columns() == reference_columns(Q), Q
+
+
 def test_segment_basics():
     h = sc.OrthoSegment.horizontal(2, 0, 4)
     v = sc.OrthoSegment.vertical(3, 1, 5)

@@ -5,7 +5,7 @@ lexicographically smallest optimum, and enumerate all optima in order.
 """
 
 import random
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 
 import pytest
 
@@ -226,13 +226,14 @@ def test_is_guarded_cover_requires_neighbor_inside():
 def reference_covers(graph):
     """optimal_covers with the whole-graph `_search` answering every size
     question, as the solver's fallback does on graphs without a Γ-free
-    order; `k` comes from iterative deepening."""
+    order, but without its node budget; `k` comes from iterative
+    deepening."""
     n = graph.n
     adj = graph.neighbor_masks()
     isolated = [v for v in range(n) if adj[v] == 0]
     full = sum(1 << v for v in range(n) if adj[v])
     k = 0
-    while not _search(adj, full, k, 0, full):
+    while not _search(adj, full, k, 0, full, count()):
         k += 1
     picks = []
 
@@ -244,7 +245,7 @@ def reference_covers(graph):
             if not (allowed >> j) & 1:
                 continue
             nxt_allowed = allowed & ~((1 << (j + 1)) - 1)
-            if _search(adj, full, k - len(picks) - 1, dominated | adj[j], nxt_allowed):
+            if _search(adj, full, k - len(picks) - 1, dominated | adj[j], nxt_allowed, count()):
                 picks.append(j)
                 yield from emit(dominated | adj[j], nxt_allowed)
                 picks.pop()
@@ -293,6 +294,15 @@ def chordal_bipartite(graph):
         nb[u] &= ~(1 << v)
         nb[v] &= ~(1 << u)
     return True
+
+
+def test_fallback_search_budget_raises_too_large():
+    # An odd cycle has no Γ-free order, so it takes the exhaustive search;
+    # at 61 nodes that would run for ages without the node budget.
+    n = 61
+    g = graph_of(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    with pytest.raises(sc.TooLarge):
+        sc.minimum_guarded_cover(g)
 
 
 def test_cycle_controls():

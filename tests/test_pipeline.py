@@ -3,6 +3,7 @@
 import pytest
 
 import slidecam as sc
+from slidecam.cli import main
 from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, comb_polygon, corpus_target
 
 H = sc.OrthoSegment.horizontal
@@ -152,3 +153,17 @@ def test_pipeline_walks_past_an_optimum_with_a_non_staircase_residue(seed, piece
         sc.critical_regions(P, segments)
     assert all(sc.is_staircase(r) for r in run.regions)
     assert sc.covers_polygon(P, sc.camera_cover(P).cameras)
+
+
+def test_walk_cap_raises_too_large_and_solve_exits_4(tmp_path, monkeypatch, capsys):
+    # Seed 386's walk needs 97 optima; below that the cap ends it.
+    P = sc.generate_polygon(386, 240)
+    monkeypatch.setattr("slidecam.pipeline.MAX_OPTIMA", 96)
+    with pytest.raises(sc.TooLarge):
+        sc.run_pipeline(P)
+    path = tmp_path / "p386.txt"
+    path.write_text(sc.format_polygon(P))
+    assert main(["solve", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

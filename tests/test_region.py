@@ -107,6 +107,32 @@ def test_components_partition(rs):
         assert grown == cc
 
 
+def from_cells(cs):
+    return sc.from_rects((i, i + 1, j, j + 1) for i, j in cs)
+
+
+def test_algebra_matches_cell_model_on_pipeline_inputs(corpus):
+    # Visible sets and polygon regions of real inputs: tens of rects, many
+    # sharing edges and event lines. Each result must equal the canonical
+    # region of its cell set, which also pins the canonical form.
+    for _seed, P in corpus[:100]:
+        whole = sc.polygon_region(P)
+        vis = [sc.camera_visibility(P, c) for c in sc.reflex_chords(P)]
+        regions = [whole] + vis
+        joined = [r for reg in regions for r in reg.rects]
+        assert region_cell_set(sc.from_rects(joined)) == cells(joined)
+        for a, b in zip(regions, regions[1:] + regions[:1]):
+            ca, cb = region_cell_set(a), region_cell_set(b)
+            assert sc.region_union(a, b) == from_cells(ca | cb)
+            assert sc.region_difference(a, b) == from_cells(ca - cb)
+            assert sc.region_intersection(a, b) == from_cells(ca & cb)
+            assert sc.region_contains(a, b) == (cb <= ca)
+            assert sc.region_contains(whole, b)
+        seen = cells(r for reg in vis for r in reg.rects)
+        left = sc.region_difference(whole, sc.region_union_all(vis))
+        assert left == from_cells(region_cell_set(whole) - seen)
+
+
 def test_corner_touch_splits():
     r = sc.from_rects([(0, 1, 0, 1), (1, 2, 1, 2)])
     assert len(sc.region_components(r)) == 2
