@@ -285,25 +285,24 @@ def validate_polygon(vertices, collinear: str = "normalize") -> OrthoPolygon:
             raise NonOrthogonalEdge(f"edge {a} -> {b} is not axis-parallel")
 
     # Merge straight runs; a reversal inside a run means the boundary folds
-    # back onto itself.
-    changed = True
-    while changed:
-        changed = False
-        n = len(pts)
-        for i in range(n):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
-            d1 = (b.x - a.x, b.y - a.y)
-            d2 = (c.x - b.x, c.y - b.y)
-            if (d1[0] == 0) == (d2[0] == 0):
-                if d1[0] * d2[0] < 0 or d1[1] * d2[1] < 0:
-                    raise SelfIntersecting(f"boundary doubles back at {b}")
-                if collinear == "reject":
-                    raise CollinearRedundantVertex(f"redundant vertex {b}")
-                del pts[i]
-                changed = True
-                break
-        if len(pts) < 4:
+    # back onto itself. Dropping a straight vertex leaves the directions of
+    # its neighbours' edges as they were, so one pass against the original
+    # neighbours finds the same vertices, in the same order, as rescanning
+    # after each drop.
+    n = len(pts)
+    kept = []
+    for i, b in enumerate(pts):
+        a, c = pts[i - 1], pts[(i + 1) % n]
+        if (b.x == a.x) != (c.x == b.x):
+            kept.append(b)
+            continue
+        if (b.x - a.x) * (c.x - b.x) < 0 or (b.y - a.y) * (c.y - b.y) < 0:
+            raise SelfIntersecting(f"boundary doubles back at {b}")
+        if collinear == "reject":
+            raise CollinearRedundantVertex(f"redundant vertex {b}")
+        if len(kept) + n - 1 - i < 4:
             raise NotClosed("polygon degenerates after removing redundant vertices")
+    pts = kept
 
     if len(set(pts)) != len(pts):
         raise SelfIntersecting("repeated vertex")

@@ -4,6 +4,10 @@ These are the ground truth the approximation bounds are tested against.
 They deliberately avoid the solver modules' search code: candidate pruning
 is redone here with bitmask subset tests over an exact cell decomposition,
 and optima come from plain subset enumeration in increasing cardinality.
+One rasteriser (_CellMasks._cells, a bisect walk over the overlay grid)
+both indexes the target's cells and turns each tool into a bitmask, and one
+enumeration (_first_cover) answers every cardinality-first search except
+the guarded one, which weighs doubled tracks and keeps its own loop.
 
 Candidates are restricted to the pruned maximal chords (plus duplicate
 tracks where a camera needs a guard); any camera set can be converted
@@ -49,33 +53,31 @@ class _CellMasks:
             ys.update(y for r in t.rects for y in (r[2], r[3]))
         self.xs = sorted(xs)
         self.ys = sorted(ys)
-        index = {}
-        for i in range(len(self.xs) - 1):
-            for j in range(len(self.ys) - 1):
-                cx = self.xs[i] + self.xs[i + 1]
-                cy = self.ys[j] + self.ys[j + 1]
-                if target.contains_point_scaled(cx, cy):
-                    index[(i, j)] = len(index)
-        self.index = index
-        self.full = (1 << len(index)) - 1
+        # canonical rects meet only along edges, so no cell is listed twice
+        cells = sorted(c for r in target.rects for c in self._cells(r))
+        self.index = {c: a for a, c in enumerate(cells)}
+        self.full = (1 << len(cells)) - 1
         self.masks = [self._rasterize(t) for t in tools]
+
+    def _cells(self, rect):
+        """The (i, j) overlay cells inside a rect, which the grid refines."""
+        x0, x1, y0, y1 = rect
+        js = range(bisect_left(self.ys, y0), bisect_left(self.ys, y1))
+        for i in range(bisect_left(self.xs, x0), bisect_left(self.xs, x1)):
+            for j in js:
+                yield i, j
 
     def _rasterize(self, region: RectilinearRegion) -> int:
         mask = 0
-        for x0, x1, y0, y1 in region.rects:
-            i0 = bisect_left(self.xs, x0)
-            i1 = bisect_left(self.xs, x1)
-            j0 = bisect_left(self.ys, y0)
-            j1 = bisect_left(self.ys, y1)
-            for i in range(i0, i1):
-                for j in range(j0, j1):
-                    a = self.index.get((i, j))
-                    if a is not None:
-                        mask |= 1 << a
+        for rect in region.rects:
+            for c in self._cells(rect):
+                a = self.index.get(c)
+                if a is not None:
+                    mask |= 1 << a
         return mask
 
 
-def _kept_candidates(P: OrthoPolygon):
+def _kept_candidates(P: OrthoPolygon, cap: int):
     """Independent rederivation of the pruned chord set with cell masks.
 
     Returns (segments, masks, full) where segments are the maximal reflex
@@ -83,47 +85,57 @@ def _kept_candidates(P: OrthoPolygon):
     lexicographically smallest) and masks are their coverage bitmasks over
     the polygon's own cell decomposition. Containment across orientations
     is deliberately not pruned, matching the grid the pipeline covers.
+    The result is cached on P; raises TooLarge past `cap` segments.
     """
-    chords = set()
-    for v in reflex_vertices(P):
-        chords.add(max_chord(P, v, HORIZONTAL))
-        chords.add(max_chord(P, v, VERTICAL))
-    chords = sorted(chords)
-    vis = [camera_visibility(P, c) for c in chords]
-    cm = _CellMasks(polygon_region(P), vis)
-    by_mask: dict[tuple[str, int], OrthoSegment] = {}
-    for c, m in zip(chords, cm.masks):
-        by_mask.setdefault((c.orientation, m), c)
-    pairs = sorted((c, m) for (_o, m), c in by_mask.items())
-    kept = [
-        (c, m)
-        for c, m in pairs
-        if not any(
-            c2.orientation == c.orientation and m != m2 and m | m2 == m2
-            for c2, m2 in pairs
-        )
-    ]
-    segments = [c for c, _m in kept]
-    masks = [m for _c, m in kept]
-    return segments, masks, cm.full
+    out = P._cache.get("oracle_candidates")
+    if out is None:
+        chords = set()
+        for v in reflex_vertices(P):
+            chords.add(max_chord(P, v, HORIZONTAL))
+            chords.add(max_chord(P, v, VERTICAL))
+        chords = sorted(chords)
+        vis = [camera_visibility(P, c) for c in chords]
+        cm = _CellMasks(polygon_region(P), vis)
+        by_mask: dict[tuple[str, int], OrthoSegment] = {}
+        for c, m in zip(chords, cm.masks):
+            by_mask.setdefault((c.orientation, m), c)
+        pairs = sorted((c, m) for (_o, m), c in by_mask.items())
+        kept = [
+            (c, m)
+            for c, m in pairs
+            if not any(
+                c2.orientation == c.orientation and m != m2 and m | m2 == m2
+                for c2, m2 in pairs
+            )
+        ]
+        out = (tuple(c for c, _m in kept), tuple(m for _c, m in kept), cm.full)
+        P._cache["oracle_candidates"] = out
+    n = len(out[0])
+    if n > cap:
+        raise TooLarge(f"{n} candidate tracks exceed the cap of {cap}")
+    return out
+
+
+def _first_cover(masks, full):
+    """Smallest k and the first k-combination of indices into masks, in
+    itertools order, whose OR holds every bit of full."""
+    for k in range(len(masks) + 1):
+        for combo in combinations(range(len(masks)), k):
+            acc = 0
+            for i in combo:
+                acc |= masks[i]
+            if full & ~acc == 0:
+                return k, combo
+    raise AssertionError("the candidates fail to cover the target")
 
 
 def opt_cameras(P: OrthoPolygon, cap: int = 22):
     """Minimum number of covering cameras and the smallest witness set."""
     if not reflex_vertices(P):
         return 1, (_left_edge_camera(P),)
-    segments, masks, full = _kept_candidates(P)
-    n = len(segments)
-    if n > cap:
-        raise TooLarge(f"{n} candidate tracks exceed the cap of {cap}")
-    for k in range(1, n + 1):
-        for combo in combinations(range(n), k):
-            acc = 0
-            for i in combo:
-                acc |= masks[i]
-            if acc == full:
-                return k, tuple(segments[i] for i in combo)
-    raise AssertionError("candidate tracks fail to cover the polygon")
+    segments, masks, full = _kept_candidates(P, cap)
+    k, combo = _first_cover(masks, full)
+    return k, tuple(segments[i] for i in combo)
 
 
 def opt_guarded_cameras(P: OrthoPolygon, cap: int = 22):
@@ -132,10 +144,8 @@ def opt_guarded_cameras(P: OrthoPolygon, cap: int = 22):
     if not reflex_vertices(P):
         cam = _left_edge_camera(P)
         return 2, (cam, cam)
-    segments, masks, full = _kept_candidates(P)
+    segments, masks, full = _kept_candidates(P, cap)
     n = len(segments)
-    if n > cap:
-        raise TooLarge(f"{n} candidate tracks exceed the cap of {cap}")
     guard_mask = [0] * n
     for i in range(n):
         for j in range(n):
@@ -181,19 +191,10 @@ def opt_grid_cover(graph: IntersectionGraph, cap: int = 18):
     adj = graph.neighbor_masks()
     isolated = [v for v in range(n) if adj[v] == 0]
     rest = [v for v in range(n) if adj[v] != 0]
-    rest_mask = 0
-    for v in rest:
-        rest_mask |= 1 << v
-    for k in range(len(rest) + 1):
-        for combo in combinations(rest, k):
-            dom = 0
-            for v in combo:
-                dom |= adj[v]
-            if rest_mask & ~dom == 0:
-                witness = tuple(sorted(isolated + list(combo)))
-                assert is_guarded_cover(graph, witness)
-                return len(witness), witness
-    raise AssertionError("a graph always has a guarded cover")
+    _k, combo = _first_cover([adj[v] for v in rest], sum(1 << v for v in rest))
+    witness = tuple(sorted(isolated + [rest[i] for i in combo]))
+    assert is_guarded_cover(graph, witness)
+    return len(witness), witness
 
 
 def opt_region_cover(P: OrthoPolygon, regions, cap: int = 22):
@@ -202,17 +203,8 @@ def opt_region_cover(P: OrthoPolygon, regions, cap: int = 22):
     regions = list(regions)
     if not regions:
         return 0, ()
-    segments, _masks, _full = _kept_candidates(P)
-    n = len(segments)
-    if n > cap:
-        raise TooLarge(f"{n} candidate tracks exceed the cap of {cap}")
+    segments, _masks, _full = _kept_candidates(P, cap)
     target = from_rects(r for reg in regions for r in reg.rects)
     cm = _CellMasks(target, [camera_visibility(P, s) for s in segments])
-    for k in range(n + 1):
-        for combo in combinations(range(n), k):
-            acc = 0
-            for i in combo:
-                acc |= cm.masks[i]
-            if acc == cm.full:
-                return k, tuple(segments[i] for i in combo)
-    raise AssertionError("chords fail to cover the given regions")
+    k, combo = _first_cover(cm.masks, cm.full)
+    return k, tuple(segments[i] for i in combo)

@@ -38,16 +38,6 @@ class RectilinearRegion:
     def area(self) -> int:
         return sum((x1 - x0) * (y1 - y0) for x0, x1, y0, y1 in self.rects)
 
-    def bbox(self) -> Rect:
-        if not self.rects:
-            raise ValueError("empty region has no bounding box")
-        return (
-            min(r[0] for r in self.rects),
-            max(r[1] for r in self.rects),
-            min(r[2] for r in self.rects),
-            max(r[3] for r in self.rects),
-        )
-
     def transposed(self) -> "RectilinearRegion":
         return from_rects((y0, y1, x0, x1) for x0, x1, y0, y1 in self.rects)
 

@@ -67,6 +67,8 @@ def test_verify_strict_cap(tmp_path, capsys):
     assert main(["verify", str(path)]) == 0
     assert main(["verify", str(path), "--strict"]) == 4
     assert main(["verify", str(path), "--strict", "--cap", "40"]) == 0
+    # the parser is shared between calls: the cap must not carry over
+    assert main(["verify", str(path), "--strict"]) == 4
     capsys.readouterr()
 
 
@@ -127,6 +129,25 @@ def test_each_command_runs_the_pipeline_once(tmp_path, monkeypatch, capsys):
         calls.clear()
         assert main([command, str(path)]) == 0
         assert len(calls) == 1, command
+    capsys.readouterr()
+
+
+def test_verify_looks_the_oracles_up_when_it_runs(tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer wraps the cli module's oracle names after import
+    import slidecam.cli
+
+    oracles = ("opt_cameras", "opt_guarded_cameras", "opt_grid_cover", "opt_region_cover")
+    calls = []
+    for name in oracles:
+        real = getattr(slidecam.cli, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(slidecam.cli, name, counted)
+    assert main(["verify", str(write_poly(tmp_path, EAR))]) == 0
+    assert tuple(calls) == oracles
     capsys.readouterr()
 
 

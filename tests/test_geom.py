@@ -51,6 +51,84 @@ def test_validate_normalizes_collinear_vertices():
         sc.validate_polygon(verts, collinear="reject")
 
 
+def reference_merge(pts, collinear):
+    """validate_polygon's straight-run merge as it was: rescan after each drop."""
+    pts = list(pts)
+    changed = True
+    while changed:
+        changed = False
+        n = len(pts)
+        for i in range(n):
+            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % n]
+            d1 = (b.x - a.x, b.y - a.y)
+            d2 = (c.x - b.x, c.y - b.y)
+            if (d1[0] == 0) == (d2[0] == 0):
+                if d1[0] * d2[0] < 0 or d1[1] * d2[1] < 0:
+                    raise sc.SelfIntersecting(f"boundary doubles back at {b}")
+                if collinear == "reject":
+                    raise sc.CollinearRedundantVertex(f"redundant vertex {b}")
+                del pts[i]
+                changed = True
+                break
+        if len(pts) < 4:
+            raise sc.NotClosed("polygon degenerates after removing redundant vertices")
+    return pts
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args).vertices
+    except sc.PolygonError as e:
+        return type(e), str(e)
+
+
+def with_inserted_runs(rng, verts):
+    """verts scaled by 4 and rotated, with straight vertices and reversals
+    put inside some edges; every edge stays axis-parallel and non-empty."""
+    pts = [(4 * x, 4 * y) for x, y in verts]
+    k = rng.randrange(len(pts))
+    pts = pts[k:] + pts[:k]
+    if rng.random() < 0.5:
+        pts.reverse()
+    out = []
+    for i, (ax, ay) in enumerate(pts):
+        bx, by = pts[(i + 1) % len(pts)]
+        out.append((ax, ay))
+        ts = sorted(rng.sample(range(1, 4), rng.choice((0, 0, 1, 2))))
+        if ts and rng.random() < 0.2:
+            ts.reverse()  # steps back along the edge: a reversal
+        out += [(ax + (bx - ax) * t // 4, ay + (by - ay) * t // 4) for t in ts]
+    return out
+
+
+def test_one_pass_merge_matches_rescan_reference():
+    rng = random.Random(5)
+    inputs = [[(1, 0), (2, 0), (1, 0), (0, 0)]]
+    for _ in range(300):
+        inputs.append(with_inserted_runs(rng, rng.choice(list(NAMED.values()))))
+    for _ in range(300):
+        # runs along one line: reversals and degenerate polygons
+        xs = [rng.randrange(6)]
+        while len(xs) < rng.randrange(4, 9):
+            xs.append(rng.choice([x for x in range(6) if x != xs[-1]]))
+        inputs.append([(x, 0) for x in xs] if rng.random() < 0.5 else [(0, x) for x in xs])
+    kinds = set()
+    for verts in inputs:
+        pts = [sc.Point(x, y) for x, y in verts]
+        if pts[0] == pts[-1]:
+            continue
+        for collinear in ("normalize", "reject"):
+            want = outcome(
+                lambda: sc.validate_polygon(reference_merge(pts, collinear), collinear)
+            )
+            assert outcome(sc.validate_polygon, verts, collinear) == want, verts
+            kinds.add(want[0] if isinstance(want[0], type) else "ok")
+    assert outcome(sc.validate_polygon, inputs[0])[0] is sc.NotClosed
+    assert kinds == {
+        "ok", sc.SelfIntersecting, sc.NotClosed, sc.CollinearRedundantVertex
+    }
+
+
 def test_validate_accepts_clockwise_input():
     P = sc.validate_polygon(list(reversed(RECT)))
     Q = sc.validate_polygon(RECT)
