@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 from .errors import ParseError, PolygonError, SlidecamError, TooLarge
@@ -57,13 +58,16 @@ def _report_lines(name: str, run) -> list[str]:
 def cmd_solve(args) -> int:
     P = _load(args.file)
     run = run_pipeline(P)
+    start = time.perf_counter()
     cameras = checked_cover(run).cameras
+    check_seconds = time.perf_counter() - start
     for cam in cameras:
         print(cam)
     if args.report:
         print(f"total_cameras: {len(cameras)}")
         for line in _report_lines(Path(args.file).stem, run):
             print(line)
+        print(f"time_check: {check_seconds:.6f}")
     if args.svg:
         Path(args.svg).write_text(render_run(run))
     if args.check:

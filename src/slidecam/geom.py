@@ -225,26 +225,32 @@ class OrthoPolygon:
         """
         if orientation == HORIZONTAL:
             return self.transposed().chord_scaled(Y, X, VERTICAL)
-        for lo, hi in self._line_intervals(X):
-            if lo > Y:
-                return None
-            if Y <= hi:
-                return (lo, hi)
-        return None
+        return _interval_at(self._line_intervals(X), Y)
+
+
+def _interval_at(intervals, Y: int):
+    """The interval of a sorted, disjoint closed stack holding Y, or None."""
+    for lo, hi in intervals:
+        if Y <= hi:
+            return (lo, hi) if lo <= Y else None
+    return None
 
 
 def _merge_closed(intervals):
     """Coalesce closed intervals; touching endpoints merge."""
-    if not intervals:
-        return ()
+    if len(intervals) < 2:
+        return tuple(intervals)
     intervals = sorted(intervals)
-    out = [list(intervals[0])]
-    for lo, hi in intervals[1:]:
-        if lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in out)
+    out = []
+    lo, hi = intervals[0]
+    for a, b in intervals:
+        if a > hi:
+            out.append((lo, hi))
+            lo = a
+        if b > hi:
+            hi = b
+    out.append((lo, hi))
+    return tuple(out)
 
 
 def _as_points(vertices) -> list[Point]:

@@ -109,28 +109,40 @@ def prune_dominated(P: OrthoPolygon, chords) -> Grid:
     deliberately (see the module docstring).
     """
     chords = sorted(set(chords))
-    clearance = {c: _clearance(P, c) for c in chords}
-
-    def guards(d: OrthoSegment, c: OrthoSegment) -> bool:
-        lo, hi = clearance[c]
-        return d.lo <= c.lo and c.hi <= d.hi and lo <= 2 * d.anchor <= hi
-
     kept = []
     for orientation in (HORIZONTAL, VERTICAL):
-        group = [c for c in chords if c.orientation == orientation]
-        anchors = [c.anchor for c in group]
-        for c in group:
-            # Only chords anchored inside c's clearance can guard it.
-            lo, hi = clearance[c]
-            first = bisect_left(anchors, (lo + 1) // 2)
-            rivals = group[first : bisect_right(anchors, hi // 2)]
-            if not any(
-                d != c and guards(d, c) and (d < c or not guards(c, d)) for d in rivals
-            ):
-                kept.append(c)
+        kept += _undominated(P, [c for c in chords if c.orientation == orientation])
     origin_map = chord_origins(P)
     origins = tuple(origin_map.get(c, ()) for c in kept)
     return Grid(tuple(kept), origins)
+
+
+def _undominated(P: OrthoPolygon, group: list[OrthoSegment]) -> list[OrthoSegment]:
+    """prune_dominated's survivors among one orientation's sorted chords.
+
+    Chords are compared by index: within one orientation index order is
+    segment order, so on mutual guarding the lower index wins.
+    """
+    anchors = [c.anchor for c in group]
+    los = [c.lo for c in group]
+    his = [c.hi for c in group]
+    clearance = [_clearance(P, c) for c in group]
+
+    def guards(j: int, i: int) -> bool:
+        lo, hi = clearance[i]
+        return los[j] <= los[i] and his[i] <= his[j] and lo <= 2 * anchors[j] <= hi
+
+    kept = []
+    for i, (lo, hi) in enumerate(clearance):
+        # Only chords anchored inside the clearance can guard chord i.
+        first = bisect_left(anchors, (lo + 1) // 2)
+        last = bisect_right(anchors, hi // 2)
+        if not any(
+            j != i and guards(j, i) and (j < i or not guards(i, j))
+            for j in range(first, last)
+        ):
+            kept.append(group[i])
+    return kept
 
 
 def guarding_grid(P: OrthoPolygon) -> Grid:
@@ -143,13 +155,32 @@ def _segments_of(g) -> tuple[OrthoSegment, ...]:
 
 
 def intersection_graph(g) -> IntersectionGraph:
-    """Closed pairwise intersections of a Grid (or raw segment list)."""
+    """Closed pairwise intersections of a Grid (or raw segment list).
+
+    A sweep, not a test of all pairs. Each vertical bisects the horizontals,
+    sorted by anchor, for those whose line its span reaches, and keeps the
+    ones whose span reaches its own line. Parallel segments meet only when
+    collinear: sorted by (orientation, anchor, lo), each meets the run of
+    followers on its line that start by its hi.
+    """
     segments = _segments_of(g)
+    order = sorted(range(len(segments)), key=lambda i: segments[i])
     edges = []
-    for i in range(len(segments)):
-        for j in range(i + 1, len(segments)):
-            if segments[i].intersects(segments[j]):
-                edges.append((i, j))
+    for p, i in enumerate(order):
+        s = segments[i]
+        for j in order[p + 1 :]:
+            t = segments[j]
+            if t.orientation != s.orientation or t.anchor != s.anchor or t.lo > s.hi:
+                break
+            edges.append((min(i, j), max(i, j)))
+    horizontals = [i for i in order if segments[i].is_horizontal]
+    anchors = [segments[i].anchor for i in horizontals]
+    for j in order[len(horizontals) :]:
+        v = segments[j]
+        for i in horizontals[bisect_left(anchors, v.lo) : bisect_right(anchors, v.hi)]:
+            if segments[i].lo <= v.anchor <= segments[i].hi:
+                edges.append((min(i, j), max(i, j)))
+    edges.sort()
     return IntersectionGraph(len(segments), tuple(edges))
 
 

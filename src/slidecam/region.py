@@ -9,8 +9,11 @@ hashed and compared directly.
 
 Two private pieces carry the algebra: _slabs gives each slab's merged
 closed y-intervals (from_rects is built on it), and _overlay walks the
-joint slabs of two regions, keeping each positive-length y-piece whose
-membership in the operands passes a rule (difference and intersection).
+joint slabs of two regions, keeping each positive-length y-piece of the
+first whose membership in the second matches a flag (out of it for
+difference, in it for intersection). _slabs looks each rect's x0 and x1 up
+in the slab index and places the rect only on the slabs between them, so
+its work is the number of (rect, slab) incidences, not rects times slabs.
 
 The algebra is regularized: degenerate slivers (zero width or height) are
 dropped by construction, and difference is the closure of the open
@@ -53,11 +56,17 @@ EMPTY_REGION = RectilinearRegion(())
 
 
 def _slabs(rects, xs):
-    """Merged closed y-intervals of the rects spanning each slab of xs."""
-    return [
-        _merge_closed([(r[2], r[3]) for r in rects if r[0] <= x0 and x1 <= r[1]])
-        for x0, x1 in zip(xs, xs[1:])
-    ]
+    """Merged closed y-intervals of the rects spanning each slab of xs.
+
+    xs must hold every rect's x0 and x1, so a rect spans exactly the slabs
+    from its x0's index up to its x1's and is placed on those alone.
+    """
+    index = {x: i for i, x in enumerate(xs)}
+    stacks: list[list[tuple[int, int]]] = [[] for _ in xs[1:]]
+    for x0, x1, y0, y1 in rects:
+        for k in range(index[x0], index[x1]):
+            stacks[k].append((y0, y1))
+    return [_merge_closed(stack) for stack in stacks]
 
 
 def from_rects(rects) -> RectilinearRegion:
@@ -84,8 +93,8 @@ def region_union_all(regions) -> RectilinearRegion:
     return from_rects([r for region in regions for r in region.rects])
 
 
-def _overlay(a: RectilinearRegion, b: RectilinearRegion, keep) -> RectilinearRegion:
-    """The closure of the open points where keep(in a, in b) holds.
+def _overlay(a: RectilinearRegion, b: RectilinearRegion, inside_b: bool) -> RectilinearRegion:
+    """The closure of the open points of a whose membership in b is inside_b.
 
     Over each joint slab, both stacks' endpoints cut the slab into
     positive-length pieces, each wholly in or out of an operand. Walking up,
@@ -95,6 +104,8 @@ def _overlay(a: RectilinearRegion, b: RectilinearRegion, keep) -> RectilinearReg
     xs = sorted({x for r in a.rects + b.rects for x in (r[0], r[1])})
     out = []
     for x0, x1, a_ivs, b_ivs in zip(xs, xs[1:], _slabs(a.rects, xs), _slabs(b.rects, xs)):
+        if not a_ivs:
+            continue
         ys = sorted({y for iv in a_ivs + b_ivs for y in iv})
         na, nb = len(a_ivs), len(b_ivs)
         i = j = 0
@@ -103,18 +114,18 @@ def _overlay(a: RectilinearRegion, b: RectilinearRegion, keep) -> RectilinearReg
                 i += 1
             while j < nb and b_ivs[j][1] <= y0:
                 j += 1
-            if keep(i < na and a_ivs[i][0] <= y0, j < nb and b_ivs[j][0] <= y0):
+            if i < na and a_ivs[i][0] <= y0 and (j < nb and b_ivs[j][0] <= y0) == inside_b:
                 out.append((x0, x1, y0, y1))
     return from_rects(out)
 
 
 def region_difference(a: RectilinearRegion, b: RectilinearRegion) -> RectilinearRegion:
     """Regularized difference: the closure of interior(a) minus b."""
-    return _overlay(a, b, lambda in_a, in_b: in_a and not in_b)
+    return _overlay(a, b, False)
 
 
 def region_intersection(a: RectilinearRegion, b: RectilinearRegion) -> RectilinearRegion:
-    return _overlay(a, b, lambda in_a, in_b: in_a and in_b)
+    return _overlay(a, b, True)
 
 
 def region_contains(a: RectilinearRegion, b: RectilinearRegion) -> bool:

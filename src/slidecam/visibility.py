@@ -8,6 +8,12 @@ fixed, so the track sees one vertical chord there. Those slab chords are the
 primitive: camera_visibility is their union, _clearance their common part,
 and guards_entirely reads them directly. Vertical tracks work transposed.
 
+The slabs of a track are consecutive columns of P's slab table, so
+_slab_chords finds the first column once and reads every slab's chord off
+its own column's intervals, with no point query per slab. A horizontal
+track's visible set is one rect per slab, so camera_visibility builds the
+canonical form from the chords directly.
+
 The visible set is regularized. True visibility may additionally include
 zero-area whiskers on event lines (a chord can be longer on a single line
 than on both sides of it); those never matter for covering full-dimensional
@@ -20,10 +26,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import SegmentNotInside
-from .geom import VERTICAL, OrthoPolygon, OrthoSegment
+from .geom import VERTICAL, OrthoPolygon, OrthoSegment, _interval_at
 from .region import (
     RectilinearRegion,
-    from_rects,
     polygon_region,
     region_contains,
     region_difference,
@@ -34,16 +39,32 @@ from .region import (
 def _slab_chords(P: OrthoPolygon, s: OrthoSegment):
     """(x0, x1, lo, hi) per open slab of s's span, in s's horizontal frame:
     the chord through s over x0 < x < x1, with lo and hi scaled by two.
-    None when some slab has no chord. Cached on P under s."""
+    None when some slab has no chord. Cached on P under s.
+
+    Past s.lo the cuts are consecutive vertex x's, so the slabs lie in
+    consecutive columns of P's slab table, starting with the column just
+    right of s.lo, and each slab's chord is read off its column's
+    intervals. A track reaching past P's first or last x has a slab in no
+    column, and so no chord there.
+    """
     cache = P._cache.setdefault("slab_chords", {})
     if s in cache:
         return cache[s]
     Q, t = (P.transposed(), s.transposed()) if s.is_vertical else (P, s)
-    xs = Q.vertex_xs()
-    cuts = [t.lo, *xs[bisect_right(xs, t.lo) : bisect_left(xs, t.hi)], t.hi]
-    slabs = list(zip(cuts, cuts[1:]))
-    ivs = [Q.chord_scaled(a + b, 2 * t.anchor, VERTICAL) for a, b in slabs]
-    out = None if None in ivs else [ab + iv for ab, iv in zip(slabs, ivs)]
+    Y = 2 * t.anchor
+    if t.is_degenerate:
+        # One slab of zero width: the chord on the line x = t.lo itself.
+        iv = Q.chord_scaled(2 * t.lo, Y, VERTICAL)
+        out = None if iv is None else [(t.lo, t.hi, *iv)]
+    else:
+        xs, gaps = Q.vertex_xs(), Q._columns()[1]
+        first, last = bisect_right(xs, t.lo), bisect_left(xs, t.hi)
+        cuts = [t.lo, *xs[first:last], t.hi]
+        out = None
+        if first > 0 and last < len(xs):
+            ivs = [_interval_at(column, Y) for column in gaps[first - 1 : last]]
+            if None not in ivs:
+                out = [(a, b, *iv) for a, b, iv in zip(cuts, cuts[1:], ivs)]
     cache[s] = out
     return out
 
@@ -69,8 +90,16 @@ def camera_visibility(P: OrthoPolygon, s: OrthoSegment) -> RectilinearRegion:
     cache = P._cache.setdefault("vis", {})
     out = cache.get(s)
     if out is None:
-        chords = _inside_chords(P, s)
-        out = from_rects((x0, x1, lo // 2, hi // 2) for x0, x1, lo, hi in chords)
+        # One rect per slab, left to right, with equal neighbours joined:
+        # the canonical form of a horizontal track's visible set.
+        rects = []
+        for x0, x1, lo, hi in _inside_chords(P, s):
+            y0, y1 = lo // 2, hi // 2
+            if rects and rects[-1][2:] == (y0, y1):
+                rects[-1] = (rects[-1][0], x1, y0, y1)
+            else:
+                rects.append((x0, x1, y0, y1))
+        out = RectilinearRegion(tuple(rects))
         if s.is_vertical:
             out = out.transposed()
         cache[s] = out

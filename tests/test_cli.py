@@ -33,6 +33,12 @@ def test_solve_report(tmp_path, capsys):
     assert "cover_optima_tried: 1" in out
     assert "critical_regions: 1" in out
     assert "patch_tracks: 1" in out
+    # the final coverage check is timed after the pipeline's phases
+    lines = out.splitlines()
+    times = [line.split(":")[0] for line in lines if line.startswith("time_")]
+    assert times == ["time_chords", "time_prune", "time_graph", "time_cover",
+                     "time_patch", "time_check"]
+    assert float(lines[-1].split(": ")[1]) >= 0
 
 
 def test_solve_svg_deterministic(tmp_path, capsys):

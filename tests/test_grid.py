@@ -1,6 +1,10 @@
 """Reflex chords, the domination prune and the intersection graph."""
 
+import random
+from bisect import bisect_left, bisect_right
+
 import slidecam as sc
+from slidecam.visibility import _clearance
 from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, corpus_target
 
 H = sc.OrthoSegment.horizontal
@@ -154,3 +158,84 @@ def test_prune_matches_region_containment():
         P = sc.generate_polygon(seed, n)
         chords = sc.reflex_chords(P)
         assert sc.prune_dominated(P, chords) == containment_prune(P, chords), (seed, n)
+
+
+def all_pairs_graph(segments):
+    """intersection_graph by testing every pair of segments."""
+    edges = [
+        (i, j)
+        for i in range(len(segments))
+        for j in range(i + 1, len(segments))
+        if segments[i].intersects(segments[j])
+    ]
+    return sc.IntersectionGraph(len(segments), tuple(edges))
+
+
+def random_raw_segments(rng):
+    """An unsorted raw list on a few lines, so collinear segments touch,
+    overlap, nest and repeat."""
+    out = []
+    for _ in range(rng.randint(0, 14)):
+        o = rng.choice([sc.HORIZONTAL, sc.VERTICAL])
+        a, b = sorted(rng.randint(0, 8) for _ in range(2))
+        out.append(sc.OrthoSegment(o, rng.randint(0, 4), a, b))
+    if out:
+        out.append(rng.choice(out))
+    rng.shuffle(out)
+    return out
+
+
+def test_intersection_graph_matches_all_pairs(corpus):
+    rng = random.Random(13)
+    polygons = [P for _seed, P in corpus[:300]]
+    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 6)]
+    for P in polygons:
+        chords = sc.reflex_chords(P)
+        grid = sc.guarding_grid(P)
+        shuffled = rng.sample(chords, len(chords))
+        for g, segments in ((grid, grid.segments), (chords, chords), (shuffled, shuffled)):
+            assert sc.intersection_graph(g) == all_pairs_graph(segments), P
+    collinear = 0
+    for _ in range(3000):
+        segments = random_raw_segments(rng)
+        want = all_pairs_graph(segments)
+        assert sc.intersection_graph(segments) == want, [str(s) for s in segments]
+        collinear += sum(segments[i].orientation == segments[j].orientation for i, j in want.edges)
+    assert collinear > 1000
+
+
+def clearance_dict_prune(P, chords):
+    """prune_dominated keyed by segment: one clearance dict, and rivals
+    compared as segments."""
+    chords = sorted(set(chords))
+    clearance = {c: _clearance(P, c) for c in chords}
+
+    def guards(d, c):
+        lo, hi = clearance[c]
+        return d.lo <= c.lo and c.hi <= d.hi and lo <= 2 * d.anchor <= hi
+
+    kept = []
+    for orientation in (sc.HORIZONTAL, sc.VERTICAL):
+        group = [c for c in chords if c.orientation == orientation]
+        anchors = [c.anchor for c in group]
+        for c in group:
+            lo, hi = clearance[c]
+            rivals = group[bisect_left(anchors, (lo + 1) // 2) : bisect_right(anchors, hi // 2)]
+            if not any(
+                d != c and guards(d, c) and (d < c or not guards(c, d)) for d in rivals
+            ):
+                kept.append(c)
+    origins = sc.chord_origins(P)
+    return sc.Grid(tuple(kept), tuple(origins.get(c, ()) for c in kept))
+
+
+def test_prune_matches_clearance_dict_reference(corpus):
+    polygons = [P for _seed, P in corpus[:300]]
+    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 11)]
+    dropped = 0
+    for P in polygons:
+        chords = sc.reflex_chords(P)
+        got = sc.prune_dominated(P, chords)
+        assert got == clearance_dict_prune(P, chords), P
+        dropped += len(set(chords)) - len(got)
+    assert dropped > 1000

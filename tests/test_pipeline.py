@@ -155,6 +155,32 @@ def test_pipeline_walks_past_an_optimum_with_a_non_staircase_residue(seed, piece
     assert sc.covers_polygon(P, sc.camera_cover(P).cameras)
 
 
+def unpruned_first_optimum_regions(P):
+    """Leftover pieces of the first optimum of the grid of all reflex
+    chords, with no domination prune; raises NonStaircaseResidue like
+    critical_regions."""
+    chords = sc.reflex_chords(P)
+    first = sc.minimum_guarded_cover(sc.intersection_graph(chords))
+    return sc.critical_regions(P, [chords[i] for i in first])
+
+
+def test_unpruned_grid_first_optimum_leaves_only_staircases(corpus):
+    # The finding behind the retry walk: on the unpruned grid, the first
+    # optimum already leaves only staircase pieces, which points at the
+    # same-orientation prune rather than the cover.
+    for seed in (119, 386):
+        regions = unpruned_first_optimum_regions(sc.generate_polygon(seed, 240))
+        assert all(sc.is_staircase(r) for r in regions)
+    polygons = [P for _seed, P in corpus]
+    polygons += [sc.generate_polygon(seed, corpus_target(seed)) for seed in range(501, 1001)]
+    swept = 0
+    for P in polygons:
+        if sc.reflex_vertices(P):
+            unpruned_first_optimum_regions(P)
+            swept += 1
+    assert swept == 947
+
+
 def test_walk_cap_raises_too_large_and_solve_exits_4(tmp_path, monkeypatch, capsys):
     # Seed 386's walk needs 97 optima; below that the cap ends it.
     P = sc.generate_polygon(386, 240)

@@ -7,11 +7,14 @@ model and pin down the canonical-form invariants everything else relies on
 (sorted slabs, no mergeable neighbors, deterministic equality).
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slidecam as sc
-from slidecam.region import EMPTY_REGION
+from slidecam.geom import _merge_closed
+from slidecam.region import EMPTY_REGION, _slabs
 
 rect_st = st.tuples(
     st.integers(-4, 4), st.integers(1, 5), st.integers(-4, 4), st.integers(1, 5)
@@ -62,6 +65,29 @@ def test_union_intersection_difference(rs, ss):
     assert region_cell_set(sc.region_union(a, b)) == cells(rs) | cells(ss)
     assert region_cell_set(sc.region_intersection(a, b)) == cells(rs) & cells(ss)
     assert region_cell_set(sc.region_difference(a, b)) == cells(rs) - cells(ss)
+
+
+def reference_slabs(rects, xs):
+    """_slabs by testing every rect against every slab."""
+    return [
+        _merge_closed([(r[2], r[3]) for r in rects if r[0] <= x0 and x1 <= r[1]])
+        for x0, x1 in zip(xs, xs[1:])
+    ]
+
+
+def test_slabs_match_per_slab_filter():
+    # xs holds every rect's x0 and x1, and sometimes x's of no rect, as
+    # when _overlay slabs one operand on the joint x's of both
+    rng = random.Random(7)
+    for _ in range(2000):
+        rects = []
+        for _ in range(rng.randint(0, 8)):
+            x0, y0 = rng.randint(-6, 6), rng.randint(-6, 6)
+            rects.append((x0, x0 + rng.randint(1, 6), y0, y0 + rng.randint(1, 6)))
+        xs = {x for r in rects for x in r[:2]}
+        xs |= {rng.randint(-8, 14) for _ in range(rng.randint(0, 3))}
+        xs = sorted(xs)
+        assert _slabs(rects, xs) == reference_slabs(rects, xs), rects
 
 
 @given(rects_st, rects_st)

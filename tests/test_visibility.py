@@ -9,11 +9,13 @@ the rule denies.
 """
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 import brute
 import slidecam as sc
+from slidecam.visibility import _slab_chords
 from conftest import EAR, LSHAPE, NAMED, corpus_target
 
 H = sc.OrthoSegment.horizontal
@@ -300,3 +302,62 @@ def test_guards_entirely_matches_region_containment_on_random_input():
                 assert got == want, (seed, str(s), r.rects)
                 seen.add(want)
     assert seen == {True, False, ValueError, sc.SegmentNotInside}
+
+
+def reference_slab_chords(P, s):
+    """_slab_chords by one chord_scaled point query per slab midpoint."""
+    Q, t = (P.transposed(), s.transposed()) if s.is_vertical else (P, s)
+    xs = Q.vertex_xs()
+    cuts = [t.lo, *xs[bisect_right(xs, t.lo) : bisect_left(xs, t.hi)], t.hi]
+    slabs = list(zip(cuts, cuts[1:]))
+    ivs = [Q.chord_scaled(a + b, 2 * t.anchor, sc.VERTICAL) for a, b in slabs]
+    return None if None in ivs else [ab + iv for ab, iv in zip(slabs, ivs)]
+
+
+def reference_visibility(P, s):
+    """camera_visibility through the general from_rects."""
+    chords = reference_slab_chords(P, s)
+    out = sc.from_rects((x0, x1, lo // 2, hi // 2) for x0, x1, lo, hi in chords)
+    return out.transposed() if s.is_vertical else out
+
+
+def probe_tracks(P, rng):
+    """Reflex chords, boundary edges, and random tracks: degenerate ones,
+    pieces of chords, and ones reaching past P's first or last x or y."""
+    x0, y0, x1, y1 = P.bbox()
+    chords = sc.reflex_chords(P)
+    tracks = chords + list(boundary_edges(P))
+    for c in chords:
+        a, b = sorted(rng.randint(c.lo, c.hi) for _ in range(2))
+        tracks.append(sc.OrthoSegment(c.orientation, c.anchor, a, b))
+        tracks.append(sc.OrthoSegment(c.orientation, c.anchor, a, a))
+    for o in (sc.HORIZONTAL, sc.VERTICAL):
+        lo, hi = (x0, x1) if o == sc.HORIZONTAL else (y0, y1)
+        across = (y0, y1) if o == sc.HORIZONTAL else (x0, x1)
+        for _ in range(6):
+            anchor = rng.randint(across[0], across[1])
+            a, b = sorted(rng.randint(lo - 2, hi + 2) for _ in range(2))
+            tracks.append(sc.OrthoSegment(o, anchor, a, b))
+            tracks.append(sc.OrthoSegment(o, anchor, a, a))
+            tracks.append(sc.OrthoSegment(o, anchor, lo - 1, rng.randint(lo, hi)))
+            tracks.append(sc.OrthoSegment(o, anchor, rng.randint(lo, hi), hi + 1))
+        for anchor in across:
+            tracks.append(sc.OrthoSegment(o, anchor, lo, hi))
+            tracks.append(sc.OrthoSegment(o, anchor, lo, lo))
+    return tracks
+
+
+def test_slab_chords_match_per_slab_point_queries(corpus):
+    rng = random.Random(11)
+    polygons = [P for _seed, P in corpus[:300]]
+    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 6)]
+    found = {True: 0, False: 0}
+    for P in polygons:
+        for s in probe_tracks(P, rng):
+            want = reference_slab_chords(P, s)
+            assert _slab_chords(P, s) == want, (P, str(s))
+            found[want is None] += 1
+            if want is not None and not s.is_degenerate:
+                assert sc.camera_visibility(P, s) == reference_visibility(P, s), (P, str(s))
+    # both outcomes occur many times
+    assert min(found.values()) > 1000, found
