@@ -343,14 +343,18 @@ def validate_polygon(vertices, collinear: str = "normalize") -> OrthoPolygon:
 
 
 def reflex_vertices(P: OrthoPolygon) -> list[Point]:
-    """Vertices with a 270 degree interior angle, in boundary order."""
-    vs = P.vertices
-    out = []
-    for i in range(len(vs)):
-        a, b, c = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
-        cross = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
-        if cross < 0:
-            out.append(b)
+    """Vertices with a 270 degree interior angle, in boundary order
+    (cached on P)."""
+    out = P._cache.get("reflex")
+    if out is None:
+        vs = P.vertices
+        out = []
+        for i in range(len(vs)):
+            a, b, c = vs[i - 1], vs[i], vs[(i + 1) % len(vs)]
+            cross = (b.x - a.x) * (c.y - b.y) - (b.y - a.y) * (c.x - b.x)
+            if cross < 0:
+                out.append(b)
+        P._cache["reflex"] = out
     return out
 
 

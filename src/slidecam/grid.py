@@ -17,6 +17,13 @@ between the two tracks lies inside P (tests/test_visibility.py checks the
 equivalence against region containment), which is a range check on d's
 anchor against c's clearance (visibility._clearance): the common part of
 c's per-slab chords.
+
+Chords, origins and clearances come from one table per orientation, read
+straight off P's two column tables with no point query. A reflex vertex
+lies on an event line of one table, so its chord is the interval of that
+line holding it, and the chord's clearance is read off the other table's
+columns over its span. The prune then compares the table's rows by index
+and builds no segment.
 """
 
 from __future__ import annotations
@@ -32,13 +39,12 @@ from .geom import (
     OrthoSegment,
     Point,
     contains_point,
-    max_chord,
     reflex_vertices,
 )
 # region_contains and camera_visibility are unused here: perfbench/spans.py
 # wraps both names on this module and fails when they are missing.
 from .region import region_contains  # noqa: F401
-from .visibility import _clearance, camera_visibility  # noqa: F401
+from .visibility import camera_visibility  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -75,30 +81,83 @@ def reflex_chords(P: OrthoPolygon) -> list[OrthoSegment]:
     maximal chords would have merged, and non-collinear parallel segments
     are disjoint by definition.
     """
-    return sorted(chord_origins(P))
+    return [s for segments, _origins, _clearances in _chord_table(P) for s in segments]
 
 
 def chord_origins(P: OrthoPolygon) -> dict[OrthoSegment, tuple[Point, ...]]:
-    """Which reflex vertices generate each maximal chord (cached on P)."""
-    out = P._cache.get("chord_origins")
+    """Which reflex vertices generate each maximal chord."""
+    return {
+        s: o
+        for segments, origins, _clearances in _chord_table(P)
+        for s, o in zip(segments, origins)
+    }
+
+
+def _chord_table(P: OrthoPolygon):
+    """The reflex chords of P, one table per orientation, H then V.
+
+    A table is (segments, origins, clearances), aligned and in segment
+    order: each distinct chord, its reflex vertices sorted, and its
+    clearance as _clearance gives it. Cached on P.
+    """
+    out = P._cache.get("chord_table")
     if out is None:
-        acc: dict[OrthoSegment, list[Point]] = {}
-        for v in reflex_vertices(P):
-            for o in (HORIZONTAL, VERTICAL):
-                acc.setdefault(max_chord(P, v, o), []).append(v)
-        out = {c: tuple(sorted(vs)) for c, vs in acc.items()}
-        P._cache["chord_origins"] = out
+        reflex = reflex_vertices(P)
+        T = P.transposed()
+        out = (
+            _frame_chords(T, HORIZONTAL, sorted((v.y, v.x, v) for v in reflex)),
+            _frame_chords(P, VERTICAL, sorted((v.x, v.y, v) for v in reflex)),
+        )
+        P._cache["chord_table"] = out
     return out
+
+
+def _frame_chords(Q: OrthoPolygon, orientation: str, points):
+    """The vertical chords of Q through points, (x, y, origin) triples
+    sorted by (x, y) in Q's frame, as a _chord_table table whose segments
+    take `orientation`.
+
+    A reflex vertex lies on an event line of Q's column table, so its
+    chord is the interval of that line's stack holding it. Its clearance
+    comes off the columns of Q's transpose: over each open slab of the
+    chord's span, the interval holding the chord's line. Points of one
+    chord are consecutive, so each chord is read once.
+    """
+    XS, _gaps, events = Q._columns()
+    YS, gaps, _events = Q.transposed()._columns()
+    segments, origins, clearances = [], [], []
+    last = None
+    for x, y, v in points:
+        # A column's intervals are sorted and disjoint, so the one holding
+        # a coordinate Z is the last to start by Z: the last below (Z + 1,).
+        X = 2 * x
+        column = events[bisect_left(XS, X)]
+        lo, hi = column[bisect_left(column, (2 * y + 1,)) - 1]
+        if last == (x, lo):
+            origins[-1].append(v)
+            continue
+        last = (x, lo)
+        # The chord ends on vertex coordinates, so its slabs are the
+        # columns from its lo's up to its hi's.
+        first = bisect_left(YS, lo)
+        slabs = gaps[first : bisect_left(YS, hi, first)]
+        key = (X + 1,)
+        los, his = zip(*[column[bisect_left(column, key) - 1] for column in slabs])
+        segments.append(OrthoSegment(orientation, x, lo // 2, hi // 2))
+        origins.append([v])
+        clearances.append((max(los), min(his)))
+    return segments, [tuple(vs) for vs in origins], clearances
 
 
 def prune_dominated(P: OrthoPolygon, chords) -> Grid:
     """Drop chords dominated by a chord of the same orientation.
 
-    The chords must be maximal chords through reflex vertices (what
-    reflex_chords returns): only for maximal chords is domination the
-    parallel-guarding test of the module docstring, which needs c's
-    clearance alone and no visible set. d guards c when d's span covers
-    c's and 2*d.anchor lies in c's clearance.
+    The chords must be maximal chords through reflex vertices of P (what
+    reflex_chords returns); anything else raises ValueError. Only for
+    those is domination the parallel-guarding test of the module
+    docstring, which needs c's clearance alone and no visible set. d
+    guards c when d's span covers c's and 2*d.anchor lies in c's
+    clearance.
 
     Mutually guarding chords have equal visible sets and keep only the
     lexicographically smallest one; a chord guarded one way only is
@@ -108,17 +167,23 @@ def prune_dominated(P: OrthoPolygon, chords) -> Grid:
     may well be dominated by a vertical one; that pair is kept
     deliberately (see the module docstring).
     """
-    chords = sorted(set(chords))
-    kept = []
-    for orientation in (HORIZONTAL, VERTICAL):
-        kept += _undominated(P, [c for c in chords if c.orientation == orientation])
-    origin_map = chord_origins(P)
-    origins = tuple(origin_map.get(c, ()) for c in kept)
-    return Grid(tuple(kept), origins)
+    wanted = set(chords)
+    kept, kept_origins = [], []
+    matched = 0
+    for segments, origins, clearances in _chord_table(P):
+        rows = [k for k, s in enumerate(segments) if s in wanted]
+        matched += len(rows)
+        for k in _undominated([segments[k] for k in rows], [clearances[k] for k in rows]):
+            kept.append(segments[rows[k]])
+            kept_origins.append(origins[rows[k]])
+    if matched != len(wanted):
+        raise ValueError("prune_dominated takes maximal chords through reflex vertices of P")
+    return Grid(tuple(kept), tuple(kept_origins))
 
 
-def _undominated(P: OrthoPolygon, group: list[OrthoSegment]) -> list[OrthoSegment]:
-    """prune_dominated's survivors among one orientation's sorted chords.
+def _undominated(group: list[OrthoSegment], clearance: list[tuple[int, int]]) -> list[int]:
+    """Indices of prune_dominated's survivors among one orientation's
+    sorted chords, given their clearances.
 
     Chords are compared by index: within one orientation index order is
     segment order, so on mutual guarding the lower index wins.
@@ -126,7 +191,6 @@ def _undominated(P: OrthoPolygon, group: list[OrthoSegment]) -> list[OrthoSegmen
     anchors = [c.anchor for c in group]
     los = [c.lo for c in group]
     his = [c.hi for c in group]
-    clearance = [_clearance(P, c) for c in group]
 
     def guards(j: int, i: int) -> bool:
         lo, hi = clearance[i]
@@ -141,7 +205,7 @@ def _undominated(P: OrthoPolygon, group: list[OrthoSegment]) -> list[OrthoSegmen
             j != i and guards(j, i) and (j < i or not guards(i, j))
             for j in range(first, last)
         ):
-            kept.append(group[i])
+            kept.append(i)
     return kept
 
 

@@ -135,7 +135,10 @@ def optimal_covers(graph: IntersectionGraph):
         yield tuple(isolated)
         return
     full = sum(1 << v for v in rest)
-    nbrs = {v: [u for u in rest if (adj[v] >> u) & 1] for v in rest}
+    nbrs: dict[int, list[int]] = {v: [] for v in rest}
+    for i, j in graph.edges:
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     order = _gamma_free_order(nbrs)
 
     if order is None:

@@ -7,6 +7,9 @@ of a horizontal track's span between polygon x-events P's cross-section is
 fixed, so the track sees one vertical chord there. Those slab chords are the
 primitive: camera_visibility is their union, _clearance their common part,
 and guards_entirely reads them directly. Vertical tracks work transposed.
+The grid prune reads the same common part for every reflex chord at once,
+in grid._chord_table, straight off the column tables, and
+camera_guards_camera uses _clearance for one parallel pair at a time.
 
 The slabs of a track are consecutive columns of P's slab table, so
 _slab_chords finds the first column once and reads every slab's chord off

@@ -2,8 +2,12 @@
 
 import random
 from bisect import bisect_left, bisect_right
+from itertools import product
+
+import pytest
 
 import slidecam as sc
+from slidecam.grid import _chord_table
 from slidecam.visibility import _clearance
 from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, corpus_target
 
@@ -239,3 +243,46 @@ def test_prune_matches_clearance_dict_reference(corpus):
         assert got == clearance_dict_prune(P, chords), P
         dropped += len(set(chords)) - len(got)
     assert dropped > 1000
+
+
+def max_chord_origins(P):
+    """chord_origins by one max_chord point query per reflex vertex and
+    orientation."""
+    acc = {}
+    for v in sc.reflex_vertices(P):
+        for o in (sc.HORIZONTAL, sc.VERTICAL):
+            acc.setdefault(sc.max_chord(P, v, o), []).append(v)
+    return {c: tuple(sorted(vs)) for c, vs in acc.items()}
+
+
+def images(P):
+    """All 8 transposed and mirrored images of P."""
+    pts = [(v.x, v.y) for v in P.vertices]
+    for sx, sy, swap in product((1, -1), (1, -1), (False, True)):
+        moved = [(sx * x, sy * y) for x, y in pts]
+        yield sc.validate_polygon([(y, x) for x, y in moved] if swap else moved)
+
+
+def test_chord_table_matches_max_chord_and_clearance(corpus):
+    polygons = [P for _seed, P in corpus]
+    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 11)]
+    polygons += [sc.generate_polygon(seed, 400) for seed in range(1, 5)]
+    polygons += list(images(sc.generate_polygon(1, 240)))
+    shared = 0
+    for P in polygons:
+        want = max_chord_origins(P)
+        assert sc.chord_origins(P) == want, P
+        assert sc.reflex_chords(P) == sorted(want), P
+        for segments, origins, clearances in _chord_table(P):
+            for s, vs, clearance in zip(segments, origins, clearances):
+                assert clearance == _clearance(P, s), (P, str(s))
+                shared += len(vs) > 1
+    assert shared > 100
+
+
+def test_prune_rejects_chords_not_through_reflex_vertices():
+    P = sc.validate_polygon(LSHAPE)
+    edge = sc.max_chord(P, sc.Point(0, 0), sc.HORIZONTAL)
+    with pytest.raises(ValueError):
+        sc.prune_dominated(P, [*sc.reflex_chords(P), edge])
+    assert sc.prune_dominated(P, sc.reflex_chords(P)[:1]).segments == (H(2, 0, 4),)

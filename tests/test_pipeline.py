@@ -1,5 +1,7 @@
 """End-to-end guard placement on the hand-checked shapes."""
 
+import hashlib
+
 import pytest
 
 import slidecam as sc
@@ -193,3 +195,29 @@ def test_walk_cap_raises_too_large_and_solve_exits_4(tmp_path, monkeypatch, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+# sha256 of camera_cover's cameras and provenance on generate_polygon seeds
+# 1-4 at each benchmark ladder size, as cover_digest writes them.
+LADDER_DIGESTS = {
+    160: "3975607c506afff91403068012d8092c29c9c70f36bb496645e0fcb274c834a6",
+    240: "dc1100dbfebc179647a14f2c181d3c8a03552bf12340e06192941039307f7226",
+    320: "16ddfb4ac2883e25dec5a88cdd981897da521e7acedfb4c4c5d560ddce33fc4c",
+    400: "bb674fe8ff99ead25aa10dcbf1eae36150f967d0da4f71544c27af2feab9a880",
+}
+
+
+def cover_digest(n):
+    h = hashlib.sha256()
+    for seed in range(1, 5):
+        found = sc.camera_cover(sc.generate_polygon(seed, n))
+        for cam, origin in zip(found.cameras, found.provenance):
+            h.update(f"{seed} {cam} {origin}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n", sorted(LADDER_DIGESTS))
+def test_ladder_covers_are_pinned(n):
+    # The exact-camera tests above use small shapes; these pin the output
+    # where the benchmark runs.
+    assert cover_digest(n) == LADDER_DIGESTS[n]
