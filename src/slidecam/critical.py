@@ -2,10 +2,11 @@
 
 Covering the guarding grid does not always cover the polygon: pockets can
 remain that no chosen track sees. Each connected leftover piece is a
-staircase-shaped region, every such piece can be seen entirely by at least
-one grid track, and one track can finish off at most two pieces. That turns
-the patching step into a minimum edge cover problem on a graph whose nodes
-are leftover pieces and whose edges say "some single track sees both".
+staircase that some grid track sees entirely, so the patch is a minimum
+edge cover on a graph of pieces whose edges say "one track sees both". The
+paper argues that one track finishes off at most two pieces. On the pruned
+grid generate_polygon(2, 320) has a track that sees three (pinned in
+tests/test_critical.py); the patch stays valid, but no edge uses all three.
 """
 
 from __future__ import annotations

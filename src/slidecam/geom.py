@@ -8,7 +8,7 @@ boundary belongs to the polygon, and a segment may run along a boundary edge.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import (
@@ -314,32 +314,53 @@ def validate_polygon(vertices, collinear: str = "normalize") -> OrthoPolygon:
         raise SelfIntersecting("repeated vertex")
 
     n = len(pts)
-    segs = []
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if a.y == b.y:
-            segs.append(OrthoSegment.horizontal(a.y, a.x, b.x))
-        else:
-            segs.append(OrthoSegment.vertical(a.x, a.y, b.y))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i + 1 or (i == 0 and j == n - 1):
-                continue
-            if segs[i].intersects(segs[j]):
-                raise SelfIntersecting(
-                    f"edges {pts[i]}->{pts[(i + 1) % n]} and "
-                    f"{pts[j]}->{pts[(j + 1) % n]} touch"
-                )
+    edges = list(zip(pts, pts[1:] + pts[:1]))
+    segs = [
+        OrthoSegment.horizontal(a.y, a.x, b.x)
+        if a.y == b.y
+        else OrthoSegment.vertical(a.x, a.y, b.y)
+        for a, b in edges
+    ]
+    # Merged runs leave consecutive edges meeting only at their shared vertex.
+    for i, j in _touching_pairs(segs):
+        if j != i + 1 and (i, j) != (0, n - 1):
+            (a, b), (c, d) = edges[i], edges[j]
+            raise SelfIntersecting(f"edges {a}->{b} and {c}->{d} touch")
 
-    area2 = 0
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        area2 += a.x * b.y - b.x * a.y
+    area2 = sum(a.x * b.y - b.x * a.y for a, b in edges)
     if area2 == 0:
         raise SelfIntersecting("polygon has zero area")
     if area2 < 0:
         pts = [pts[0]] + pts[1:][::-1]
     return OrthoPolygon(pts)
+
+
+def _touching_pairs(segments) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of the closed orthogonal segments
+    that meet. A sweep: each vertical bisects the horizontals, sorted by
+    anchor, for those whose line its span reaches and whose span reaches its
+    line. Parallel segments meet only when collinear: sorted by (orientation,
+    anchor, lo), each meets the run of followers on its line that start by
+    its hi.
+    """
+    order = sorted(range(len(segments)), key=segments.__getitem__)
+    pairs = []
+    for p, i in enumerate(order):
+        s = segments[i]
+        for q in range(p + 1, len(order)):
+            t = segments[order[q]]
+            if t.orientation != s.orientation or t.anchor != s.anchor or t.lo > s.hi:
+                break
+            pairs.append((min(i, order[q]), max(i, order[q])))
+    horizontals = [i for i in order if segments[i].is_horizontal]
+    anchors = [segments[i].anchor for i in horizontals]
+    for j in order[len(horizontals) :]:
+        v = segments[j]
+        for i in horizontals[bisect_left(anchors, v.lo) : bisect_right(anchors, v.hi)]:
+            if segments[i].lo <= v.anchor <= segments[i].hi:
+                pairs.append((min(i, j), max(i, j)))
+    pairs.sort()
+    return pairs
 
 
 def reflex_vertices(P: OrthoPolygon) -> list[Point]:

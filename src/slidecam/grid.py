@@ -38,6 +38,7 @@ from .geom import (
     OrthoPolygon,
     OrthoSegment,
     Point,
+    _touching_pairs,
     contains_point,
     reflex_vertices,
 )
@@ -219,33 +220,10 @@ def _segments_of(g) -> tuple[OrthoSegment, ...]:
 
 
 def intersection_graph(g) -> IntersectionGraph:
-    """Closed pairwise intersections of a Grid (or raw segment list).
-
-    A sweep, not a test of all pairs. Each vertical bisects the horizontals,
-    sorted by anchor, for those whose line its span reaches, and keeps the
-    ones whose span reaches its own line. Parallel segments meet only when
-    collinear: sorted by (orientation, anchor, lo), each meets the run of
-    followers on its line that start by its hi.
-    """
+    """Closed pairwise intersections of a Grid (or raw segment list), from
+    geom._touching_pairs: the sweep validate_polygon runs on P's edges."""
     segments = _segments_of(g)
-    order = sorted(range(len(segments)), key=lambda i: segments[i])
-    edges = []
-    for p, i in enumerate(order):
-        s = segments[i]
-        for j in order[p + 1 :]:
-            t = segments[j]
-            if t.orientation != s.orientation or t.anchor != s.anchor or t.lo > s.hi:
-                break
-            edges.append((min(i, j), max(i, j)))
-    horizontals = [i for i in order if segments[i].is_horizontal]
-    anchors = [segments[i].anchor for i in horizontals]
-    for j in order[len(horizontals) :]:
-        v = segments[j]
-        for i in horizontals[bisect_left(anchors, v.lo) : bisect_right(anchors, v.hi)]:
-            if segments[i].lo <= v.anchor <= segments[i].hi:
-                edges.append((min(i, j), max(i, j)))
-    edges.sort()
-    return IntersectionGraph(len(segments), tuple(edges))
+    return IntersectionGraph(len(segments), tuple(_touching_pairs(segments)))
 
 
 def is_simple_grid(g, P: OrthoPolygon) -> bool:

@@ -8,6 +8,8 @@ polygon dark (the 2x1 ear on the upper right), which is what the patching
 stage exists for.
 """
 
+from itertools import product
+
 import pytest
 
 import slidecam as sc
@@ -52,6 +54,15 @@ def comb_polygon(teeth: int):
         verts += [(2 * i + 1, 1), (2 * i + 1, 3), (2 * i, 3), (2 * i, 1)]
     verts += [(1, 1), (1, 3), (0, 3)]
     return sc.validate_polygon(verts)
+
+
+def images(P):
+    """All 8 transposed and mirrored images of P, through validate_polygon
+    (which reverses the clockwise ones)."""
+    pts = [(v.x, v.y) for v in P.vertices]
+    for sx, sy, swap in product((1, -1), (1, -1), (False, True)):
+        moved = [(sx * x, sy * y) for x, y in pts]
+        yield sc.validate_polygon([(y, x) for x, y in moved] if swap else moved)
 
 
 @pytest.fixture

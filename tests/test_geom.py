@@ -1,12 +1,15 @@
 """Polygon validation, point classification and maximal chords."""
 
 import random
+from collections import Counter
 
 import pytest
 
 import brute
 import slidecam as sc
-from conftest import EAR, LSHAPE, NAMED, PLUS, RECT, STAIR2, corpus_target
+from conftest import (
+    EAR, LSHAPE, NAMED, PLUS, RECT, STAIR2, comb_polygon, corpus_target, images
+)
 
 
 def test_validate_accepts_named_shapes():
@@ -134,6 +137,124 @@ def test_validate_accepts_clockwise_input():
     Q = sc.validate_polygon(RECT)
     assert P.n == 4
     assert {(a, b) for a, b in P.edges()} == {(a, b) for a, b in Q.edges()}
+
+
+def all_pairs_validate(vertices):
+    """validate_polygon as it was before the touching-segment sweep: the
+    same checks in the same order, with every pair of edges tested."""
+    pts = [sc.Point(x, y) for x, y in vertices]
+    if len(pts) >= 2 and pts[0] == pts[-1]:
+        pts = pts[:-1]
+    if len(pts) < 4:
+        raise sc.NotClosed("a rectilinear polygon needs at least 4 vertices")
+    for i in range(len(pts)):
+        a, b = pts[i], pts[(i + 1) % len(pts)]
+        if a == b:
+            raise sc.NotClosed(f"zero-length edge at {a}")
+        if a.x != b.x and a.y != b.y:
+            raise sc.NonOrthogonalEdge(f"edge {a} -> {b} is not axis-parallel")
+    n = len(pts)
+    kept = []
+    for i, b in enumerate(pts):
+        a, c = pts[i - 1], pts[(i + 1) % n]
+        if (b.x == a.x) != (c.x == b.x):
+            kept.append(b)
+            continue
+        if (b.x - a.x) * (c.x - b.x) < 0 or (b.y - a.y) * (c.y - b.y) < 0:
+            raise sc.SelfIntersecting(f"boundary doubles back at {b}")
+        if len(kept) + n - 1 - i < 4:
+            raise sc.NotClosed("polygon degenerates after removing redundant vertices")
+    pts = kept
+    if len(set(pts)) != len(pts):
+        raise sc.SelfIntersecting("repeated vertex")
+    n = len(pts)
+    segs = []
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if a.y == b.y:
+            segs.append(sc.OrthoSegment.horizontal(a.y, a.x, b.x))
+        else:
+            segs.append(sc.OrthoSegment.vertical(a.x, a.y, b.y))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if j == i + 1 or (i == 0 and j == n - 1):
+                continue
+            if segs[i].intersects(segs[j]):
+                raise sc.SelfIntersecting(
+                    f"edges {pts[i]}->{pts[(i + 1) % n]} and "
+                    f"{pts[j]}->{pts[(j + 1) % n]} touch"
+                )
+    area2 = 0
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        area2 += a.x * b.y - b.x * a.y
+    if area2 == 0:
+        raise sc.SelfIntersecting("polygon has zero area")
+    if area2 < 0:
+        pts = [pts[0]] + pts[1:][::-1]
+    return sc.OrthoPolygon(pts)
+
+
+def lattice_walk(rng):
+    """A closed orthogonal walk on the 5x5 lattice through 2-8 corners.
+
+    Half are L-paths between random corners, which give zero-length
+    edges, straight runs and reversals; the other half alternate
+    horizontal and vertical steps, which give every edge non-zero length
+    and no straight run, so most of them reach the edge-pair test.
+    """
+    k = rng.randrange(2, 9)
+    if rng.random() < 0.5:
+        corners = [(rng.randrange(5), rng.randrange(5)) for _ in range(k)]
+        out = []
+        for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+            out += [(ax, ay), (bx, ay) if rng.random() < 0.5 else (ax, by)]
+        return out
+
+    def cycle():
+        # k values on 0..4, each unlike the next, cyclically
+        while True:
+            vs = [rng.randrange(5)]
+            while len(vs) < k:
+                vs.append(rng.choice([v for v in range(5) if v != vs[-1]]))
+            if vs[0] != vs[-1]:
+                return vs
+
+    xs, ys = cycle(), cycle()
+    return [p for m in range(k) for p in ((xs[m], ys[m]), (xs[(m + 1) % k], ys[m]))]
+
+
+def bent_comb(teeth):
+    """comb_polygon(teeth) scaled by two, with a hook on the left side of
+    its middle tooth that reaches over the gap onto its neighbour's side."""
+    pts = [(2 * v.x, 2 * v.y) for v in comb_polygon(teeth).vertices]
+    x = 4 * (teeth // 2)
+    k = pts.index((x, 6))
+    assert pts[k + 1] == (x, 2)
+    return pts[: k + 1] + [(x, 4), (x - 2, 4), (x - 2, 3), (x, 3)] + pts[k + 1 :]
+
+
+def test_sweep_validation_matches_all_pairs_reference(corpus):
+    rng = random.Random(17)
+    inputs = [lattice_walk(rng) for _ in range(20000)]
+    inputs += [[(v.x, v.y) for v in P.vertices] for _seed, P in corpus]
+    inputs += [[(v.x, v.y) for v in Q.vertices] for Q in images(sc.generate_polygon(1, 240))]
+    inputs += [[(v.x, v.y) for v in comb_polygon(500).vertices], bent_comb(500)]
+    kinds = Counter()
+    for verts in inputs:
+        want = outcome(all_pairs_validate, verts)
+        assert outcome(sc.validate_polygon, verts) == want, verts
+        if isinstance(want[0], sc.Point):
+            kinds["ok"] += 1
+        else:
+            kinds[want[0].__name__, want[1].split()[0]] += 1
+    assert want[0] is sc.SelfIntersecting and want[1].endswith("touch")
+    # every check is reached many times; "edges" is the edge-pair test
+    assert kinds["ok"] > 2000
+    assert kinds["SelfIntersecting", "edges"] > 1000
+    assert kinds["SelfIntersecting", "repeated"] > 1000
+    assert kinds["SelfIntersecting", "boundary"] > 1000
+    assert kinds["NotClosed", "zero-length"] > 1000
 
 
 def test_reflex_vertices_on_named_shapes():

@@ -2,14 +2,13 @@
 
 import random
 from bisect import bisect_left, bisect_right
-from itertools import product
 
 import pytest
 
 import slidecam as sc
 from slidecam.grid import _chord_table
 from slidecam.visibility import _clearance
-from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, corpus_target
+from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, corpus_target, images
 
 H = sc.OrthoSegment.horizontal
 V = sc.OrthoSegment.vertical
@@ -253,14 +252,6 @@ def max_chord_origins(P):
         for o in (sc.HORIZONTAL, sc.VERTICAL):
             acc.setdefault(sc.max_chord(P, v, o), []).append(v)
     return {c: tuple(sorted(vs)) for c, vs in acc.items()}
-
-
-def images(P):
-    """All 8 transposed and mirrored images of P."""
-    pts = [(v.x, v.y) for v in P.vertices]
-    for sx, sy, swap in product((1, -1), (1, -1), (False, True)):
-        moved = [(sx * x, sy * y) for x, y in pts]
-        yield sc.validate_polygon([(y, x) for x, y in moved] if swap else moved)
 
 
 def test_chord_table_matches_max_chord_and_clearance(corpus):
