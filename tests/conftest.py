@@ -101,3 +101,13 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_runs(corpus):
     return [(seed, P, sc.run_pipeline(P)) for seed, P in corpus]
+
+
+@pytest.fixture(scope="session")
+def corpus_runs_1000(corpus_runs):
+    """corpus_runs carried on through corpus seeds 501-1000."""
+    more = [
+        (seed, sc.generate_polygon(seed, corpus_target(seed)))
+        for seed in range(CORPUS_SIZE + 1, 1001)
+    ]
+    return corpus_runs + [(seed, P, sc.run_pipeline(P)) for seed, P in more]

@@ -233,3 +233,47 @@ def test_at_most_two_regions_per_track_on_sample(corpus_runs):
     assert {(0, 1), (0, 2), (1, 2)} <= set(rg.edges)
     assert str(rg.candidates[rg.edge_witness[0, 2]]) == "V 21 3 38"
     assert run.stats.patch_size == 4
+
+
+def reference_region_graph(P, regions, candidates):
+    """build_region_graph without the span skip: every candidate against
+    every piece through guards_entirely."""
+    from slidecam.visibility import guards_entirely
+
+    seers = [[k for k, s in enumerate(candidates) if guards_entirely(P, s, r)] for r in regions]
+    edges, witness = [], {}
+    for i in range(len(regions)):
+        for j in range(i + 1, len(regions)):
+            common = set(seers[i]) & set(seers[j])
+            if common:
+                edges.append((i, j))
+                witness[(i, j)] = min(common)
+    linked = {v for e in edges for v in e}
+    loops = tuple(i for i in range(len(regions)) if i not in linked)
+    return sc.RegionGraph(
+        tuple(regions),
+        tuple(candidates),
+        tuple(edges),
+        witness,
+        loops,
+        {i: seers[i][0] for i in loops},
+    )
+
+
+def test_region_graph_span_skip_matches_a_full_scan(corpus_runs_1000):
+    runs = [run for _seed, _P, run in corpus_runs_1000]
+    runs += [sc.run_pipeline(sc.generate_polygon(seed, 240)) for seed in (119, 386)]
+    runs.append(sc.run_pipeline(sc.generate_polygon(2, 320)))
+    patched = 0
+    for run in runs:
+        if not run.regions:
+            continue
+        patched += 1
+        P, segments = run.polygon, run.grid.segments
+        want = reference_region_graph(P, run.regions, segments)
+        assert sc.build_region_graph(P, run.regions, segments) == want
+        assert run.region_graph == want
+        # Reversed, the vertical tracks come first and win the witnesses.
+        want = reference_region_graph(P, run.regions, segments[::-1])
+        assert sc.build_region_graph(P, run.regions, segments[::-1]) == want
+    assert patched > 150

@@ -361,3 +361,97 @@ def test_slab_chords_match_per_slab_point_queries(corpus):
                 assert sc.camera_visibility(P, s) == reference_visibility(P, s), (P, str(s))
     # both outcomes occur many times
     assert min(found.values()) > 1000, found
+
+
+def reference_uncovered(P, cameras):
+    """The unseen part of P through visible sets and general region algebra."""
+    seen = sc.region_union_all(sc.camera_visibility(P, s) for s in cameras)
+    return sc.region_difference(sc.polygon_region(P), seen)
+
+
+def check_uncovered(P, cameras):
+    # A fresh copy of P, so that neither side reads the other's caches.
+    fresh = sc.validate_polygon([(v.x, v.y) for v in P.vertices])
+    got = sc.uncovered_region(fresh, cameras)
+    want = reference_uncovered(P, cameras)
+    assert got == want, (P, [str(s) for s in cameras])
+    assert sc.covers_polygon(fresh, cameras) == want.is_empty
+    return want
+
+
+def camera_sets(run, rng):
+    """Cover tracks, all cameras, and random subsets of the grid tracks."""
+    grid = list(run.grid.segments)
+    yield run.cover_segments
+    yield sc.merged_cameras(run)[0]
+    for _ in range(3):
+        yield rng.sample(grid, rng.randint(0, len(grid)))
+
+
+def test_uncovered_region_matches_visible_sets_on_corpus(corpus_runs_1000):
+    rng = random.Random(17)
+    runs = [run for _seed, _P, run in corpus_runs_1000]
+    runs += [sc.run_pipeline(sc.generate_polygon(seed, 240)) for seed in range(1, 11)]
+    found = {True: 0, False: 0}
+    for run in runs:
+        for cameras in camera_sets(run, rng):
+            found[check_uncovered(run.polygon, cameras).is_empty] += 1
+    assert min(found.values()) > 500, found
+
+
+def test_uncovered_region_honours_track_ends_inside_columns():
+    # Scaled by three, P has no vertex x or y off the multiples of three, so
+    # every track end off them falls inside a column of P or its transpose.
+    rng = random.Random(19)
+    cases = [(seed, corpus_target(seed)) for seed in range(1, 61)] + [(2, 240)]
+    inside = {sc.HORIZONTAL: 0, sc.VERTICAL: 0}
+    for seed, n in cases:
+        base = sc.generate_polygon(seed, n)
+        P = sc.validate_polygon([(3 * v.x, 3 * v.y) for v in base.vertices])
+        tracks = sc.reflex_chords(P) + list(boundary_edges(P))
+        for _ in range(4):
+            cameras = []
+            for c in rng.sample(tracks, rng.randint(1, len(tracks))):
+                a, b = sorted(rng.sample(range(c.lo, c.hi + 1), 2))
+                cameras.append(sc.OrthoSegment(c.orientation, c.anchor, a, b))
+                inside[c.orientation] += a % 3 != 0 or b % 3 != 0
+            check_uncovered(P, cameras)
+    assert min(inside.values()) > 500, inside
+
+
+def test_uncovered_region_on_all_images():
+    from conftest import images
+
+    rng = random.Random(23)
+    bases = [sc.validate_polygon(EAR), sc.generate_polygon(416, corpus_target(416))]
+    bases += [sc.generate_polygon(seed, 240) for seed in (1, 2)]
+    for base in bases:
+        for P in images(base):
+            run = sc.run_pipeline(P)
+            for cameras in camera_sets(run, rng):
+                check_uncovered(P, cameras)
+
+
+def test_uncovered_region_of_no_cameras_is_the_polygon():
+    for verts in NAMED.values():
+        P = sc.validate_polygon(verts)
+        assert sc.uncovered_region(P, []) == sc.polygon_region(P)
+        assert not sc.covers_polygon(P, [])
+
+
+def test_uncovered_region_raises_for_the_first_bad_track():
+    P = sc.validate_polygon(LSHAPE)
+    good, outside, flat = H(2, 0, 4), V(3, 0, 4), H(1, 2, 2)
+    cases = [
+        ([flat], ValueError, "positive length"),
+        ([outside], sc.SegmentNotInside, "V 3 0 4"),
+        ([good, V(0, 0, 5), outside], sc.SegmentNotInside, "V 0 0 5"),
+        ([good, outside, flat], sc.SegmentNotInside, "V 3 0 4"),
+        ([good, flat, outside], ValueError, "positive length"),
+        ([V(1, 3, 3), H(3, 0, 4)], ValueError, "positive length"),
+        ([H(3, 0, 4), V(1, 3, 3)], sc.SegmentNotInside, "H 3 0 4"),
+    ]
+    for cameras, error, message in cases:
+        for f in (sc.uncovered_region, sc.covers_polygon, reference_uncovered):
+            with pytest.raises(error, match=message):
+                f(P, cameras)
