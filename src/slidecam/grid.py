@@ -23,7 +23,10 @@ straight off P's two column tables with no point query. A reflex vertex
 lies on an event line of one table, so its chord is the interval of that
 line holding it, and the chord's clearance is read off the other table's
 columns over its span. The prune then compares the table's rows by index
-and builds no segment.
+and builds no segment. The table also keeps each chord's per-slab
+intervals, and the prune writes the survivors' intervals into
+visibility._slab_chords' cache, so no later phase rebuilds a grid track's
+chords.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .geom import (
     contains_point,
     reflex_vertices,
 )
+from .visibility import _cache_slab_chords
 # region_contains and camera_visibility are unused here: perfbench/spans.py
 # wraps both names on this module and fails when they are missing.
 from .region import region_contains  # noqa: F401
@@ -82,14 +86,14 @@ def reflex_chords(P: OrthoPolygon) -> list[OrthoSegment]:
     maximal chords would have merged, and non-collinear parallel segments
     are disjoint by definition.
     """
-    return [s for segments, _origins, _clearances in _chord_table(P) for s in segments]
+    return [s for segments, *_ in _chord_table(P) for s in segments]
 
 
 def chord_origins(P: OrthoPolygon) -> dict[OrthoSegment, tuple[Point, ...]]:
     """Which reflex vertices generate each maximal chord."""
     return {
         s: o
-        for segments, origins, _clearances in _chord_table(P)
+        for segments, origins, *_ in _chord_table(P)
         for s, o in zip(segments, origins)
     }
 
@@ -97,9 +101,11 @@ def chord_origins(P: OrthoPolygon) -> dict[OrthoSegment, tuple[Point, ...]]:
 def _chord_table(P: OrthoPolygon):
     """The reflex chords of P, one table per orientation, H then V.
 
-    A table is (segments, origins, clearances), aligned and in segment
-    order: each distinct chord, its reflex vertices sorted, and its
-    clearance as _clearance gives it. Cached on P.
+    A table is (segments, origins, clearances, slabs), aligned and in
+    segment order: each distinct chord, its reflex vertices sorted, its
+    clearance as _clearance gives it, and the scaled los and his of its
+    chord over the open slabs of its span, left to right in its horizontal
+    frame (the intervals of visibility._slab_chords). Cached on P.
     """
     out = P._cache.get("chord_table")
     if out is None:
@@ -126,7 +132,7 @@ def _frame_chords(Q: OrthoPolygon, orientation: str, points):
     """
     XS, _gaps, events = Q._columns()
     YS, gaps, _events = Q.transposed()._columns()
-    segments, origins, clearances = [], [], []
+    segments, origins, clearances, per_slab = [], [], [], []
     last = None
     for x, y, v in points:
         # A column's intervals are sorted and disjoint, so the one holding
@@ -147,7 +153,8 @@ def _frame_chords(Q: OrthoPolygon, orientation: str, points):
         segments.append(OrthoSegment(orientation, x, lo // 2, hi // 2))
         origins.append([v])
         clearances.append((max(los), min(his)))
-    return segments, [tuple(vs) for vs in origins], clearances
+        per_slab.append((los, his))
+    return segments, [tuple(vs) for vs in origins], clearances, per_slab
 
 
 def prune_dominated(P: OrthoPolygon, chords) -> Grid:
@@ -167,16 +174,21 @@ def prune_dominated(P: OrthoPolygon, chords) -> Grid:
     survivors form an antichain under domination. A horizontal survivor
     may well be dominated by a vertical one; that pair is kept
     deliberately (see the module docstring).
+
+    Each survivor's slab chords go into visibility._slab_chords' cache
+    from the intervals the chord table has already read, so the phases
+    after the prune find every grid track's chords there.
     """
     wanted = set(chords)
     kept, kept_origins = [], []
     matched = 0
-    for segments, origins, clearances in _chord_table(P):
+    for segments, origins, clearances, slabs in _chord_table(P):
         rows = [k for k, s in enumerate(segments) if s in wanted]
         matched += len(rows)
         for k in _undominated([segments[k] for k in rows], [clearances[k] for k in rows]):
             kept.append(segments[rows[k]])
             kept_origins.append(origins[rows[k]])
+            _cache_slab_chords(P, segments[rows[k]], *slabs[rows[k]])
     if matched != len(wanted):
         raise ValueError("prune_dominated takes maximal chords through reflex vertices of P")
     return Grid(tuple(kept), tuple(kept_origins))

@@ -35,11 +35,20 @@ anything: rows ascending as binary numbers whose digits are the columns,
 the last column most significant, then columns the same way over the rows.
 Read row by row from its bottom-right corner, the matrix is
 lexicographically no smaller after each sort, and strictly larger whenever
-anything moved, so the loop ends. The order is then checked for a Γ
-directly. Where one remains (an odd cycle, or a bipartite graph that is not
-chordal, reachable only through the public API) the question goes to an
-exhaustive bitmask search on the whole graph, and the size of an optimum
-comes from iterative deepening. One optimal_covers call may spend at most
+anything moved, so the loop ends. The last sort keys stay as the matrix:
+each row is its columns as column-order bits, each column its rows as
+row-order bits. The Γ check and every pass run on those masks. A pass
+keeps the undominated rows as one mask; its next row is the lowest bit
+left, its pick the highest bit of that row's mask within the allowed
+columns, and the pick's column mask clears the rows it dominates. A pass
+stops as soon as it needs more picks than the question allows, so each
+candidate the rebuild tests costs O(picks) big-int steps, not a walk over
+every row.
+
+Where a Γ remains (an odd cycle, or a bipartite graph that is not chordal,
+reachable only through the public API) the question goes to an exhaustive
+bitmask search on the whole graph, and the size of an optimum comes from
+iterative deepening. One optimal_covers call may spend at most
 SEARCH_NODES nodes of that search and raises TooLarge past them.
 """
 
@@ -86,9 +95,16 @@ def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int, 
     return False
 
 
-def _gamma_free_order(nbrs: dict[int, list[int]]) -> tuple[list[int], list[int]] | None:
+def _gamma_free_order(
+    nbrs: dict[int, list[int]],
+) -> tuple[list[int], list[int], dict[int, int], dict[int, int]] | None:
     """Rows and columns of the domination matrix in a doubly lexical
-    order, or None if that order still holds a Γ."""
+    order, with the final sort keys, or None if that order still holds a Γ.
+
+    Returns (rows, cols, row_key, col_key). row_key[v] is v's neighbours as
+    column-order bits (bit p for cols[p]) and col_key[u] is u's neighbours
+    as row-order bits (bit p for rows[p]).
+    """
 
     def keys(order: list[int]) -> dict[int, int]:
         # each node's neighbors as a binary number, digit p for order[p]
@@ -101,18 +117,22 @@ def _gamma_free_order(nbrs: dict[int, list[int]]) -> tuple[list[int], list[int]]
         # once the cols stay put, the rows just sorted against them do too
         row_key = keys(cols)
         rows = sorted(rows, key=row_key.__getitem__)
-        new_cols = sorted(cols, key=keys(rows).__getitem__)
+        col_key = keys(rows)
+        new_cols = sorted(cols, key=col_key.__getitem__)
         moved = new_cols != cols
         cols = new_cols
     # Γ-free: per column, each two consecutive rows holding it are nested
-    # in the columns after it.
-    row_pos = {v: p for p, v in enumerate(rows)}
+    # in the columns after it. A column's rows come lowest bit first.
     for p, u in enumerate(cols):
-        held = sorted(nbrs[u], key=row_pos.__getitem__)
-        for a, b in zip(held, held[1:]):
-            if (row_key[a] & ~row_key[b]) >> (p + 1):
+        held, a = col_key[u], 0
+        while held:
+            low = held & -held
+            held ^= low
+            b = row_key[rows[low.bit_length() - 1]]
+            if (a & ~b) >> (p + 1):
                 return None
-    return rows, cols
+            a = b
+    return rows, cols, row_key, col_key
 
 
 def optimal_covers(graph: IntersectionGraph):
@@ -134,65 +154,79 @@ def optimal_covers(graph: IntersectionGraph):
     if not rest:
         yield tuple(isolated)
         return
-    full = sum(1 << v for v in rest)
     nbrs: dict[int, list[int]] = {v: [] for v in rest}
     for i, j in graph.edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
     order = _gamma_free_order(nbrs)
 
+    # The rebuild carries a state (what is still to dominate, in the path's
+    # own bits) and, once rest[t] is picked, may still pick from after[t]:
+    # the nodes rest[t+1:], in the same bits.
     if order is None:
         nodes = iter(range(SEARCH_NODES))
+        bit = {v: 1 << v for v in rest}
+        full = sum(bit.values())
+        start = 0
+
+        def take(dominated: int, j: int) -> int:
+            return dominated | adj[j]
 
         def fits(dominated: int, allowed: int, left: int) -> bool:
             """Can `left` more picks from `allowed` dominate the rest?"""
             return _search(adj, full, left, dominated, allowed, nodes)
 
         k = 0
-        while not fits(0, full, k):
+        while not fits(start, full, k):
             k += 1
     else:
-        rows, cols = order
-        col_pos = {u: p for p, u in enumerate(cols)}
-        # each row's sources, the one that comes last in column order first
-        choices = {v: sorted(nbrs[v], key=col_pos.__getitem__, reverse=True) for v in rest}
+        # the pass of the module docstring, on row-order and column-order bits
+        rows, cols, row_key, col_key = order
+        bit = {u: 1 << p for p, u in enumerate(cols)}
+        row_keys = [row_key[v] for v in rows]
+        col_keys = [col_key[u] for u in cols]
+        start = (1 << len(rows)) - 1
 
-        def greedy(dominated: int, allowed: int) -> int:
-            """Fewest picks from `allowed` that dominate the rest; more
-            than n if none do."""
+        def take(undominated: int, j: int) -> int:
+            return undominated & ~col_key[j]
+
+        def greedy(undominated: int, allowed: int, left: int) -> int:
+            """Picks from `allowed` the pass makes to dominate the rows in
+            `undominated`; left + 1 once it needs more than `left`."""
             count = 0
-            for v in rows:
-                if not (dominated >> v) & 1:
-                    u = next((u for u in choices[v] if (allowed >> u) & 1), None)
-                    if u is None:
-                        return n + 1
-                    dominated |= adj[u]
-                    count += 1
+            while undominated:
+                cand = row_keys[(undominated & -undominated).bit_length() - 1] & allowed
+                if count == left or not cand:
+                    return left + 1
+                undominated &= ~col_keys[cand.bit_length() - 1]
+                count += 1
             return count
 
-        def fits(dominated: int, allowed: int, left: int) -> bool:
+        def fits(undominated: int, allowed: int, left: int) -> bool:
             """Can `left` more picks from `allowed` dominate the rest?"""
-            return greedy(dominated, allowed) <= left
+            return greedy(undominated, allowed, left) <= left
 
-        k = greedy(0, full)
+        k = greedy(start, (1 << len(cols)) - 1, n)
 
+    after = [0] * len(rest)
+    for t in range(len(rest) - 1, 0, -1):
+        after[t - 1] = after[t] | bit[rest[t]]
     picks: list[int] = []
 
-    def emit(dominated: int, allowed: int):
+    def emit(state: int, first: int):
         if len(picks) == k:
             yield tuple(sorted(isolated + picks))
             return
-        m = allowed
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt_allowed = allowed & ~((1 << (j + 1)) - 1)
-            if fits(dominated | adj[j], nxt_allowed, k - len(picks) - 1):
+        left = k - len(picks) - 1
+        for t in range(first, len(rest)):
+            j = rest[t]
+            nxt = take(state, j)
+            if fits(nxt, after[t], left):
                 picks.append(j)
-                yield from emit(dominated | adj[j], nxt_allowed)
+                yield from emit(nxt, t + 1)
                 picks.pop()
 
-    yield from emit(0, full)
+    yield from emit(start, 0)
 
 
 def minimum_guarded_cover(graph: IntersectionGraph) -> tuple[int, ...]:

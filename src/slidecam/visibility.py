@@ -11,6 +11,9 @@ part, and guards_entirely reads them directly. Vertical tracks work
 transposed. The grid prune reads the same common part for every reflex
 chord at once, in grid._chord_table, straight off the column tables, and
 camera_guards_camera uses _clearance for one parallel pair at a time.
+_slab_chords' cache is filled in two places: grid.prune_dominated hands
+every grid track's intervals from the chord table to _cache_slab_chords,
+and _slab_chords itself builds any other track's on first use.
 
 The solve path builds no visible set. uncovered_region (behind
 covers_polygon and critical_regions) subtracts, from each column interval,
@@ -47,7 +50,8 @@ from .region import region_difference  # noqa: F401
 def _slab_chords(P: OrthoPolygon, s: OrthoSegment):
     """(x0, x1, lo, hi) per open slab of s's span, in s's horizontal frame:
     the chord through s over x0 < x < x1, with lo and hi scaled by two.
-    None when some slab has no chord. Cached on P under s.
+    None when some slab has no chord. Cached on P under s, where
+    grid.prune_dominated has already put every grid track's.
 
     Past s.lo the cuts are consecutive vertex x's, so the slabs lie in
     consecutive columns of P's slab table, starting with the column just
@@ -75,6 +79,17 @@ def _slab_chords(P: OrthoPolygon, s: OrthoSegment):
                 out = [(a, b, *iv) for a, b, iv in zip(cuts, cuts[1:], ivs)]
     cache[s] = out
     return out
+
+
+def _cache_slab_chords(P: OrthoPolygon, s: OrthoSegment, los, his) -> None:
+    """Cache what _slab_chords gives for a track s of positive length
+    inside P, from the scaled lo and hi of its chord over each slab of its
+    span, left to right."""
+    cache = P._cache.setdefault("slab_chords", {})
+    if s not in cache:
+        xs = (P.transposed() if s.is_vertical else P).vertex_xs()
+        cuts = [s.lo, *xs[bisect_right(xs, s.lo) : bisect_left(xs, s.hi)], s.hi]
+        cache[s] = list(zip(cuts, cuts[1:], los, his))
 
 
 def _inside_chords(P: OrthoPolygon, s: OrthoSegment):

@@ -264,7 +264,7 @@ def test_chord_table_matches_max_chord_and_clearance(corpus):
         want = max_chord_origins(P)
         assert sc.chord_origins(P) == want, P
         assert sc.reflex_chords(P) == sorted(want), P
-        for segments, origins, clearances in _chord_table(P):
+        for segments, origins, clearances, _slabs in _chord_table(P):
             for s, vs, clearance in zip(segments, origins, clearances):
                 assert clearance == _clearance(P, s), (P, str(s))
                 shared += len(vs) > 1

@@ -6,6 +6,7 @@ lexicographically smallest optimum, and enumerate all optima in order.
 
 import random
 from itertools import combinations, count, islice
+from pathlib import Path
 
 import pytest
 
@@ -265,6 +266,83 @@ def test_first_optima_match_whole_graph_search(corpus):
         assert list(islice(sc.optimal_covers(g), 20)) == list(islice(want, 20)), g.edges
 
 
+def per_row_greedy_covers(graph):
+    """optimal_covers' greedy path with the per-row rebuild it replaced:
+    every size question walks all rows in order and scans each undominated
+    row's sources, last in column order first, for an allowed one."""
+    n = graph.n
+    adj = graph.neighbor_masks()
+    isolated = [v for v in range(n) if adj[v] == 0]
+    rest = [v for v in range(n) if adj[v]]
+    full = sum(1 << v for v in rest)
+    nbrs = neighbor_lists(graph)
+    rows, cols = _gamma_free_order(nbrs)[:2]
+    col_pos = {u: p for p, u in enumerate(cols)}
+    choices = {v: sorted(nbrs[v], key=col_pos.__getitem__, reverse=True) for v in rest}
+
+    def greedy(dominated, allowed):
+        count = 0
+        for v in rows:
+            if not (dominated >> v) & 1:
+                u = next((u for u in choices[v] if (allowed >> u) & 1), None)
+                if u is None:
+                    return n + 1
+                dominated |= adj[u]
+                count += 1
+        return count
+
+    k = greedy(0, full)
+    picks = []
+
+    def emit(dominated, allowed):
+        if len(picks) == k:
+            yield tuple(sorted(isolated + picks))
+            return
+        for j in range(n):
+            if not (allowed >> j) & 1:
+                continue
+            nxt_allowed = allowed & ~((1 << (j + 1)) - 1)
+            if greedy(dominated | adj[j], nxt_allowed) <= k - len(picks) - 1:
+                picks.append(j)
+                yield from emit(dominated | adj[j], nxt_allowed)
+                picks.pop()
+
+    return emit(0, full)
+
+
+def same_optima(graph, limit):
+    """Compare the first `limit` optima with the per-row rebuild's; how
+    many there were."""
+    assert takes_greedy_path(graph)
+    want = list(islice(per_row_greedy_covers(graph), limit))
+    assert list(islice(sc.optimal_covers(graph), limit)) == want, graph.edges
+    return len(want)
+
+
+def test_rebuild_matches_the_per_row_greedy_rebuild(corpus_runs_1000):
+    compared = sum(same_optima(run.graph, 30) for _seed, _P, run in corpus_runs_1000 if run.graph.n)
+    assert compared > 2000, compared
+    polygons = [sc.generate_polygon(seed, 240) for seed in range(1, 41)]
+    polygons += [sc.generate_polygon(seed, n) for n in (320, 400) for seed in range(1, 5)]
+    compared = sum(same_optima(grid_graph(P), 100) for P in polygons)
+    assert compared > 3000, compared
+    # the walks run_pipeline takes where the first optimum leaves a
+    # non-staircase piece, up to the optimum it settles on
+    for seed, walk in ((119, 4), (386, 97)):
+        run = sc.run_pipeline(sc.generate_polygon(seed, 240))
+        assert run.stats.optima_tried == walk
+        assert same_optima(run.graph, walk) == walk
+        assert list(islice(sc.optimal_covers(run.graph), walk))[-1] == run.chosen
+
+
+@pytest.mark.parametrize("name", ["generated_2_1600.poly", "generated_1_3000.poly"])
+def test_first_optimum_matches_the_per_row_greedy_rebuild_on_large_grids(name):
+    P = sc.parse_polygon((Path(__file__).parent / "data" / name).read_text())
+    g = grid_graph(P)
+    assert takes_greedy_path(g)
+    assert sc.minimum_guarded_cover(g) == next(per_row_greedy_covers(g))
+
+
 def test_size_matches_whole_graph_search_at_400_vertices():
     for seed in range(1, 5):
         g = grid_graph(sc.generate_polygon(seed, 400))
@@ -334,7 +412,7 @@ def test_pipeline_cover_certified_by_a_packing(seed, n):
     adj = g.neighbor_masks()
     assert sc.is_guarded_cover(g, run.chosen)
     nbrs = neighbor_lists(g)
-    rows, cols = _gamma_free_order(nbrs)
+    rows, cols = _gamma_free_order(nbrs)[:2]
     col_pos = {u: p for p, u in enumerate(cols)}
     # the targets where the greedy pass picks
     packing = []

@@ -10,6 +10,7 @@ the rule denies.
 
 import random
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +362,34 @@ def test_slab_chords_match_per_slab_point_queries(corpus):
                 assert sc.camera_visibility(P, s) == reference_visibility(P, s), (P, str(s))
     # both outcomes occur many times
     assert min(found.values()) > 1000, found
+
+
+def test_grid_tracks_slab_chords_come_cached_from_the_chord_table(corpus, monkeypatch):
+    # prune_dominated writes every survivor's slab chords from the chord
+    # table; on a fresh parse no other code has filled the cache first.
+    texts = [sc.format_polygon(P) for _seed, P in corpus]
+    texts += [
+        sc.format_polygon(sc.generate_polygon(seed, corpus_target(seed)))
+        for seed in range(501, 1001)
+    ]
+    texts += [sc.format_polygon(sc.generate_polygon(seed, 240)) for seed in range(1, 11)]
+    texts.append((Path(__file__).parent / "data" / "generated_2_1600.poly").read_text())
+    # the 1600-vertex walk ends in TooLarge (see test_pipeline.py); the
+    # cap only makes that quick
+    monkeypatch.setattr("slidecam.pipeline.MAX_OPTIMA", 20)
+    entries = 0
+    for text in texts:
+        P = sc.parse_polygon(text)
+        try:
+            grid = sc.run_pipeline(P).grid
+        except sc.TooLarge:
+            grid = sc.prune_dominated(P, sc.reflex_chords(P))
+        cache = P._cache.get("slab_chords", {})
+        fresh = sc.parse_polygon(text)
+        for s in grid.segments:
+            assert cache[s] == reference_slab_chords(fresh, s), (text, str(s))
+            entries += len(cache[s])
+    assert entries > 30000, entries
 
 
 def reference_uncovered(P, cameras):
