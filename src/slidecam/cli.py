@@ -162,7 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a random polygon file")
-    p_gen.add_argument("--seed", type=int, required=True)
+    p_gen.add_argument("--seed", type=int, required=True,
+                       help="non-negative integer")
     p_gen.add_argument("--vertices", type=int, required=True,
                        help="even vertex count, at least 4")
     p_gen.set_defaults(func=cmd_gen)
@@ -184,6 +185,8 @@ PARSER = _build_parser()
 
 def main(argv=None) -> int:
     args = PARSER.parse_args(argv)
+    if args.func is cmd_gen and args.seed < 0:
+        PARSER.error("--seed must not be negative")
     if args.func is cmd_gen and (args.vertices < 4 or args.vertices % 2):
         PARSER.error("--vertices must be even and at least 4")
     if args.func is cmd_verify and args.cap < 0:

@@ -8,11 +8,16 @@ checking afterwards: it holds by construction. Growth stops exactly when
 the boundary has the requested number of vertices, which changes by an
 even amount per cell, so any even target from 4 up is reachable; a
 seed-derived retry covers runs that overshoot and strand themselves.
+
+Each step tries the frontier cells (kept as a sorted list) in a random
+order. The RNG stream is random.shuffle's draws over that list, inlined in
+_shuffled: every polygon depends on it, so it must not change.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 from .geom import OrthoPolygon, Point, validate_polygon
 
@@ -85,15 +90,32 @@ def _trace(cells) -> list[Point]:
     return [Point(x, y) for x, y in out]
 
 
+def _shuffled(rng: random.Random, items: list) -> list:
+    """A copy of items in the order rng.shuffle would leave it.
+
+    Fisher-Yates with the getrandbits draws of random.Random.shuffle and
+    _randbelow_with_getrandbits (CPython 3.10-3.13), made here without a
+    Python call per index: the same draws in the same order, so the order
+    and the RNG state after it are exactly those of rng.shuffle.
+    """
+    x = list(items)
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+    return x
+
+
 def _attempt(rng: random.Random, target: int, max_cells: int):
     cells = {(0, 0)}
     vcount = 4
-    frontier = {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    frontier = sorted(((1, 0), (-1, 0), (0, 1), (0, -1)))
     while vcount != target and len(cells) < max_cells:
-        candidates = sorted(frontier)
-        rng.shuffle(candidates)
         placed = False
-        for c in candidates:
+        for c in _shuffled(rng, frontier):
             x, y = c
             if _arcs(cells, x, y) > 1:
                 continue
@@ -102,11 +124,13 @@ def _attempt(rng: random.Random, target: int, max_cells: int):
                 continue
             cells.add(c)
             vcount += delta
-            frontier.discard(c)
+            del frontier[bisect_left(frontier, c)]
             for dx, dy in _ORTHO:
                 n = (x + dx, y + dy)
                 if n not in cells:
-                    frontier.add(n)
+                    i = bisect_left(frontier, n)
+                    if i == len(frontier) or frontier[i] != n:
+                        frontier.insert(i, n)
             placed = True
             break
         if not placed:
@@ -119,9 +143,12 @@ def _attempt(rng: random.Random, target: int, max_cells: int):
 def generate_polygon(seed: int, vertices: int) -> OrthoPolygon:
     """Deterministic random polygon with exactly the given vertex count.
 
+    seed must be non-negative (random.Random would seed -s like s), and
     vertices must be even and at least 4. The polygon is translated so its
     bounding box starts at the origin.
     """
+    if seed < 0:
+        raise ValueError("seed must not be negative")
     if vertices < 4 or vertices % 2:
         raise ValueError("vertex count must be even and at least 4")
     max_cells = max(16, 4 * vertices)

@@ -94,6 +94,15 @@ def test_gen_rejects_odd_vertex_count(capsys):
     capsys.readouterr()
 
 
+def test_gen_rejects_negative_seed(capsys):
+    import pytest
+
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--seed", "-1", "--vertices", "40"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_gen_give_up_exit_code(monkeypatch, capsys):
     def give_up(seed, vertices):
         raise RuntimeError(f"gave up generating a {vertices}-vertex polygon")

@@ -1,6 +1,7 @@
 """Random polygon generator: validity, determinism, vertex counts."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -43,6 +44,13 @@ def test_rejects_bad_targets():
         sc.generate_polygon(1, 2)
 
 
+def test_rejects_negative_seed():
+    # random.Random seeds -1 like 1, so -1 would repeat seed 1's polygon.
+    with pytest.raises(ValueError, match="seed"):
+        sc.generate_polygon(-1, 40)
+    assert sc.generate_polygon(0, 40).n == 40
+
+
 def test_nonnegative_coordinates():
     for seed in range(1, 40):
         P = sc.generate_polygon(seed, corpus_target(seed))
@@ -61,6 +69,35 @@ def test_output_is_stable():
     assert h.hexdigest() == (
         "3608b4cf5c64ea2e1285b41c218bed66acc59f528e7b1e5750e8a751547ddc08"
     )
+
+
+def test_large_output_is_stable():
+    # The ladder's 320- and 400-vertex rungs and two larger inputs, which
+    # test_output_is_stable does not reach.
+    cases = [(seed, n) for n in (320, 400) for seed in range(1, 5)]
+    cases += [(1, 640), (1, 960)]
+    h = hashlib.sha256()
+    for seed, n in cases:
+        h.update(sc.format_polygon(sc.generate_polygon(seed, n)).encode())
+    assert h.hexdigest() == (
+        "084e772949bcd9abf35b2f2b5ca77f9ac5b7f412635ca003f6752bacfa4b1184"
+    )
+
+
+def test_shuffled_matches_random_shuffle():
+    # _shuffled must make rng.shuffle's exact draws: same order, and the
+    # same generator state after it. Sizes 0-300 and both sides of each
+    # power of two up to 2**13, where the draw's bit count steps.
+    sizes = set(range(301)) | {2**p + d for p in range(9, 14) for d in (-1, 0, 1)}
+    for size in sorted(sizes):
+        for s in (size, size + 7919):
+            items = list(range(size))
+            a, b = random.Random(s), random.Random(s)
+            expected = list(items)
+            a.shuffle(expected)
+            assert generator._shuffled(b, items) == expected, (size, s)
+            assert items == list(range(size))
+            assert a.random() == b.random(), (size, s)
 
 
 _ORTHO = ((1, 0), (-1, 0), (0, 1), (0, -1))
