@@ -15,10 +15,14 @@ _slab_chords' cache is filled in two places: grid.prune_dominated hands
 every grid track's intervals from the chord table to _cache_slab_chords,
 and _slab_chords itself builds any other track's on first use.
 
-The solve path builds no visible set. uncovered_region (behind
-covers_polygon and critical_regions) subtracts, from each column interval,
-the spans of the horizontal tracks whose line it holds, does the same for
-vertical tracks on the transposed table, and intersects the two leftovers.
+The solve path builds no visible set and runs no region algebra.
+uncovered_region (behind covers_polygon and critical_regions) marks the
+column intervals that some horizontal track crosses whole, cuts the spans
+of tracks that end inside a column from the intervals they hit, and keeps
+every other interval unseen. Vertical tracks do the same on the transposed
+table, that is on P's rows. An unseen column piece can meet an unseen row
+piece only inside one cell between consecutive vertex lines, so the two
+leftovers are met row by row and canonicalised once.
 camera_visibility, visible_union and dominates build visible sets as
 regions, for callers and tests that want them.
 
@@ -36,10 +40,10 @@ from bisect import bisect_left, bisect_right
 from .errors import SegmentNotInside
 from .geom import VERTICAL, OrthoPolygon, OrthoSegment, _interval_at
 from .region import (
+    EMPTY_REGION,
     RectilinearRegion,
     from_rects,
     region_contains,
-    region_intersection,
     region_union_all,
 )
 # region_difference is unused here: perfbench/spans.py wraps the name on
@@ -145,57 +149,95 @@ def visible_union(P: OrthoPolygon, segments) -> RectilinearRegion:
     return region_union_all(camera_visibility(P, s) for s in segments)
 
 
+def _column_rects(P: OrthoPolygon):
+    """((k, y_lo), rect) per column interval of P, column by column and up
+    each column: k is the column's index, y_lo the interval's scaled floor,
+    and rect the interval as a closed rect in P's frame. Cached on P."""
+    out = P._cache.get("column_rects")
+    if out is None:
+        xs, gaps = P.vertex_xs(), P._columns()[1]
+        out = [
+            ((k, y_lo), (xs[k], xs[k + 1], y_lo // 2, y_hi // 2))
+            for k, column in enumerate(gaps)
+            for y_lo, y_hi in column
+        ]
+        P._cache["column_rects"] = out
+    return out
+
+
 def _unseen_rects(P: OrthoPolygon, tracks) -> list[tuple[int, int, int, int]]:
     """Rects of P, in P's frame, that no listed horizontal track sees.
 
     tracks holds (lo, chords) per track, chords as _slab_chords gives them
     in P's frame: the chord over the slab in P's column k is the interval of
-    that column holding the track's line, cut to the track's span. So each
-    column interval keeps its x-range minus the spans of the tracks that
-    hit it, found by one walk up the column's hits sorted by interval.
+    that column holding the track's line, cut to the track's span. So a
+    track sees whole every column interval it crosses, and only where it
+    ends inside a column does it see part of one. Intervals that no track
+    crosses but some track ends in keep their x-range minus the spans that
+    hit them, found by one walk up those spans sorted; the others are seen
+    whole or not at all.
     """
-    xs, gaps = P.vertex_xs(), P._columns()[1]
-    hits: list[list[tuple[int, int, int]]] = [[] for _ in gaps]
+    xs = P.vertex_xs()
+    whole: set[tuple[int, int]] = set()
+    partial: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for lo, chords in tracks:
         k = bisect_right(xs, lo) - 1
         for a, b, y_lo, _ in chords:
-            hits[k].append((y_lo, a, b))
+            if a == xs[k] and b == xs[k + 1]:
+                whole.add((k, y_lo))
+            else:
+                partial.setdefault((k, y_lo), []).append((a, b))
             k += 1
     rects = []
-    for k, column in enumerate(gaps):
-        spans = sorted(hits[k])
-        i = 0
-        for y_lo, y_hi in column:
-            y0, y1 = y_lo // 2, y_hi // 2
-            x = xs[k]
-            while i < len(spans) and spans[i][0] == y_lo:
-                _, a, b = spans[i]
-                i += 1
-                if x < a:
-                    rects.append((x, a, y0, y1))
-                x = max(x, b)
-            if x < xs[k + 1]:
-                rects.append((x, xs[k + 1], y0, y1))
+    for key, rect in _column_rects(P):
+        if key in whole:
+            continue
+        spans = partial.get(key)
+        if spans is None:
+            rects.append(rect)
+            continue
+        x, x1, y0, y1 = rect
+        for a, b in sorted(spans):
+            if x < a:
+                rects.append((x, a, y0, y1))
+            x = max(x, b)
+        if x < x1:
+            rects.append((x, x1, y0, y1))
     return rects
 
 
 def uncovered_region(P: OrthoPolygon, cameras) -> RectilinearRegion:
     """Part of the polygon no listed camera sees (regularized).
 
-    Built from P's two column tables, with no visible set: what the
-    horizontal tracks leave unseen of each column interval of P, intersected
-    with what the vertical tracks leave unseen of each column interval of
-    P's transpose. Raises like camera_visibility for the first bad track in
-    input order.
+    Built from P's two column tables, with no visible set and no region
+    algebra: what the horizontal tracks leave unseen of each column interval
+    of P, met with what the vertical tracks leave unseen of each column
+    interval of P's transpose, that is of each row interval of P. A column
+    piece and a row piece can only meet inside one cell of P's grid of
+    vertex lines, so each column piece is met, row by row, with the row
+    pieces of the rows it spans, and the pieces are canonicalised once.
+    Empty as soon as either side leaves nothing unseen. Raises like
+    camera_visibility for the first bad track in input order.
     """
     chords = [(s, _inside_chords(P, s)) for s in cameras]
     unseen_h = _unseen_rects(P, [(s.lo, ch) for s, ch in chords if s.is_horizontal])
-    unseen_v = _unseen_rects(
-        P.transposed(), [(s.lo, ch) for s, ch in chords if s.is_vertical]
-    )
-    return region_intersection(
-        from_rects(unseen_h), from_rects((y0, y1, x0, x1) for x0, x1, y0, y1 in unseen_v)
-    )
+    if not unseen_h:
+        return EMPTY_REGION
+    Q = P.transposed()
+    unseen_v = _unseen_rects(Q, [(s.lo, ch) for s, ch in chords if s.is_vertical])
+    if not unseen_v:
+        return EMPTY_REGION
+    ys = Q.vertex_xs()
+    rows: list[list[tuple[int, int, int, int]]] = [[] for _ in ys[1:]]
+    for y0, y1, x0, x1 in unseen_v:
+        rows[bisect_right(ys, y0) - 1].append((x0, x1, y0, y1))
+    pieces = []
+    for x0, x1, y0, y1 in unseen_h:
+        for row in rows[bisect_left(ys, y0) : bisect_left(ys, y1)]:
+            for u0, u1, v0, v1 in row:
+                if u0 < x1 and x0 < u1:
+                    pieces.append((max(x0, u0), min(x1, u1), v0, v1))
+    return from_rects(pieces)
 
 
 def covers_polygon(P: OrthoPolygon, segments) -> bool:

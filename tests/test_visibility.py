@@ -461,6 +461,34 @@ def test_uncovered_region_on_all_images():
                 check_uncovered(P, cameras)
 
 
+def test_uncovered_region_whole_and_partial_hits():
+    # LSHAPE scaled by three: its columns (0, 6) and (6, 12) hold one
+    # interval each, [0, 12] and [0, 6], and it is its own transpose, so
+    # each horizontal case turned vertical works on its rows the same way.
+    P = sc.validate_polygon([(3 * x, 3 * y) for x, y in LSHAPE])
+    whole, part = H(3, 0, 12), H(4, 1, 4)
+    cases = {
+        "listed twice": [whole, whole],
+        "partial listed twice": [part, part],
+        "whole then partial": [whole, part],
+        "partial then whole": [part, whole],
+        "spans touching end to end": [H(3, 1, 3), H(9, 3, 5)],
+        "span ending on a column boundary": [H(3, 2, 6)],
+        "span starting on a column boundary": [H(3, 6, 9)],
+        "whole alone": [whole],
+        "partial alone": [part],
+    }
+    for horizontal in cases.values():
+        vertical = [s.transposed() for s in horizontal]
+        # Alone, the other side leaves the whole polygon unseen, so these
+        # are empty exactly when `whole` or its transpose sees all of P:
+        # the horizontal side's and then the vertical side's early return.
+        assert check_uncovered(P, horizontal).is_empty == (whole in horizontal)
+        assert check_uncovered(P, vertical).is_empty == (whole in horizontal)
+        for other in cases.values():
+            check_uncovered(P, horizontal + [s.transposed() for s in other])
+
+
 def test_uncovered_region_of_no_cameras_is_the_polygon():
     for verts in NAMED.values():
         P = sc.validate_polygon(verts)
