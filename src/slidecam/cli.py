@@ -45,7 +45,6 @@ def _report_lines(name: str, run) -> list[str]:
         f"reflex_chords: {s.chord_count}",
         f"grid_tracks: {s.grid_size}",
         f"cover_tracks: {s.cover_size}",
-        f"cover_optima_tried: {s.optima_tried}",
         f"critical_regions: {s.critical_count}",
         f"patch_tracks: {s.patch_size}",
     ]

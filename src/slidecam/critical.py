@@ -1,12 +1,20 @@
 """Leftover regions after the grid cover, and the patch that guards them.
 
 Covering the guarding grid does not always cover the polygon: pockets can
-remain that no chosen track sees. Each connected leftover piece is a
-staircase that some grid track sees entirely, so the patch is a minimum
-edge cover on a graph of pieces whose edges say "one track sees both". The
-paper argues that one track finishes off at most two pieces. On the pruned
-grid generate_polygon(2, 320) has a track that sees three (pinned in
-tests/test_critical.py); the patch stays valid, but no edge uses all three.
+remain that no chosen track sees. The patch is a minimum edge cover on a
+graph of the connected leftover pieces whose edges say "one grid track sees
+both whole"; a piece no track shares with another gets a loop.
+
+The patch needs one property of the grid only: some grid track sees each
+leftover piece whole (build_region_graph raises UnguardableRegion where
+none does). The paper's ratio argument asks for two more, and the pruned
+grid keeps neither. A piece need not be a staircase: the smallest known
+polygon whose cover leaves one is tests/data/nonstaircase_36.poly, where the
+grid has a single optimum. And one track can see more than two pieces whole:
+on generate_polygon(16, 86) V 9 3 18 sees three, and on
+generate_polygon(47, 188) H 3 12 20 sees four (both pinned in
+tests/test_critical.py). The patch stays valid either way; its ratio is
+checked against the oracles rather than proved.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matching
-from .errors import NonStaircaseResidue, UnguardableRegion
+from .errors import UnguardableRegion
 from .geom import OrthoPolygon, OrthoSegment
 from .region import RectilinearRegion, region_components
 # region_difference is unused here: perfbench/spans.py wraps the name on
@@ -26,17 +34,10 @@ from .visibility import guards_entirely, uncovered_region
 def critical_regions(P: OrthoPolygon, cameras) -> list[RectilinearRegion]:
     """Connected leftover pieces, sorted canonically.
 
-    Components touching only at a corner count as separate pieces. Each
-    piece must be staircase-shaped, and a piece that is not raises
-    NonStaircaseResidue. That happens for some optimal grid covers too
-    (tests/test_pipeline.py pins two), so run_pipeline moves on to the next
-    optimum when it does.
+    Components touching only at a corner count as separate pieces. A piece
+    may have any shape; is_staircase tells the staircases apart.
     """
-    comps = region_components(uncovered_region(P, cameras))
-    for c in comps:
-        if not is_staircase(c):
-            raise NonStaircaseResidue(f"leftover piece is not a staircase: {c.rects}")
-    return comps
+    return region_components(uncovered_region(P, cameras))
 
 
 def is_staircase(r: RectilinearRegion) -> bool:
@@ -98,7 +99,7 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     guards_entirely, so a bad track there raises nothing.
 
     Raises UnguardableRegion when some piece is seen whole by no candidate
-    track; a grid cover never produces such a piece.
+    track; no grid cover tried has left such a piece.
     """
     regions = tuple(regions)
     candidates = list(candidates)

@@ -2,10 +2,8 @@
 
 Geometry validation errors signal bad input; the *Violation errors are
 internal assertion failures and indicate a bug when raised on valid input.
-NonStaircaseResidue is not one of them: some optimal grid covers leave a
-piece that is not a staircase, and the pipeline then moves on to the next
-optimum. It escapes only when no optimum leaves staircases alone; after
-MAX_OPTIMA misses the walk gives up with TooLarge instead.
+UnguardableRegion is one as well: every leftover piece of a grid cover is
+seen whole by some grid track on every polygon tried.
 """
 
 
@@ -45,10 +43,6 @@ class ParseError(SlidecamError):
     """Malformed polygon file."""
 
 
-class NonStaircaseResidue(SlidecamError):
-    """An unguarded component is not a staircase region."""
-
-
 class UnguardableRegion(SlidecamError):
     """No candidate segment sees an unguarded component in full."""
 
@@ -66,5 +60,5 @@ class CoverageViolation(SlidecamError):
 
 
 class TooLarge(SlidecamError):
-    """A search exceeded its cap: an oracle's instance size, the optima the
-    pipeline walks, or the nodes of the fallback cover search."""
+    """A search exceeded its cap: an oracle's instance size or the nodes of
+    the fallback cover search."""

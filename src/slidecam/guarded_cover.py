@@ -140,9 +140,9 @@ def optimal_covers(graph: IntersectionGraph):
 
     All optima share the same forced isolated nodes, so sorting them in
     keeps the lexicographic order of the yielded tuples intact. Callers
-    that only need one answer should stop after the first item; the full
-    enumeration exists for downstream phases that must pick an optimum
-    with extra geometric properties.
+    that only need one answer should stop after the first item, as
+    minimum_guarded_cover and run_pipeline do; the full enumeration is for
+    tests and callers that compare optima.
     """
     n = graph.n
     if n == 0:

@@ -5,6 +5,16 @@ intersection graph, exact minimum guarded cover of the grid, leftover
 critical regions, and the edge-cover patch. The result covers the polygon
 with at most 3.5 times the optimal number of cameras.
 
+The grid cover is the first optimum optimal_covers yields, the
+lexicographically smallest one. Its leftover pieces need not be
+staircases, as the paper's ratio argument assumes: on some polygons no
+optimum of the pruned grid leaves only staircases
+(tests/data/nonstaircase_36.poly has one optimum, and it does not). The
+patch needs only that some grid track sees each piece whole, and
+build_region_graph raises UnguardableRegion where none does. The ratio
+there rests on the oracle checks (slidecam verify and the tests), not on
+the paper's proof.
+
 guarded_camera_cover returns the same cameras (checked_cover of one run)
 and watched_cover enforces that every camera's track is watched by another
 camera (at most 2.5 times the optimum of that harder problem). The CLI
@@ -23,7 +33,7 @@ from .critical import (
     guards_from_cover,
     min_edge_cover,
 )
-from .errors import CoverageViolation, GuardednessViolation, NonStaircaseResidue, TooLarge
+from .errors import CoverageViolation, GuardednessViolation
 from .geom import OrthoPolygon, OrthoSegment, reflex_vertices
 from .grid import Grid, IntersectionGraph, intersection_graph, prune_dominated, reflex_chords
 from .guarded_cover import optimal_covers
@@ -32,9 +42,6 @@ from .visibility import camera_guards_camera, covers_polygon
 
 FROM_S = "from_S"
 FROM_SC = "from_SC"
-# Optima run_pipeline draws before giving up with TooLarge; the longest walk
-# seen, on the 240-vertex polygon of seed 386, draws 97.
-MAX_OPTIMA = 1000
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,6 @@ class RunStats:
     chord_count: int
     grid_size: int
     cover_size: int
-    # optima drawn until one left staircase pieces; 0 for a rectangle
-    optima_tried: int
     critical_count: int
     patch_size: int
     phase_seconds: dict[str, float]
@@ -102,35 +107,14 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
         # along the left edge sweeps it and no grid machinery applies.
         chosen: tuple[int, ...] = ()
         cover_segments: tuple[OrthoSegment, ...] = (_left_edge_camera(P),)
-        tried = 0
-        lap("cover")
         regions: tuple[RectilinearRegion, ...] = ()
     else:
-        # Distinct optimal grid covers can leave different residues, and
-        # not every one of them splits into staircases. Walk the optima in
-        # index order and settle on the first whose leftover does; only if
-        # none qualifies is the residue genuinely misshapen.
-        first_error: NonStaircaseResidue | None = None
-        chosen = ()
-        cover_segments = ()
-        regions = ()
-        for tried, attempt in enumerate(optimal_covers(graph), 1):
-            candidate = tuple(grid.segments[i] for i in attempt)
-            try:
-                regions = tuple(critical_regions(P, candidate))
-            except NonStaircaseResidue as err:
-                if first_error is None:
-                    first_error = err
-                if tried == MAX_OPTIMA:
-                    raise TooLarge(f"{tried} optima left non-staircase pieces") from first_error
-                continue
-            chosen = attempt
-            cover_segments = candidate
-            break
-        else:
-            assert first_error is not None
-            raise first_error
-        lap("cover")
+        # minimum_guarded_cover's answer, drawn through this module's
+        # optimal_covers name, which perfbench/spans.py wraps.
+        chosen = next(optimal_covers(graph))
+        cover_segments = tuple(grid.segments[i] for i in chosen)
+        regions = tuple(critical_regions(P, cover_segments))
+    lap("cover")
     if regions:
         rg = build_region_graph(P, regions, grid.segments)
         cover_edges = tuple(min_edge_cover(rg))
@@ -147,7 +131,6 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
         chord_count=len(chords),
         grid_size=len(grid),
         cover_size=len(cover_segments),
-        optima_tried=tried,
         critical_count=len(regions),
         patch_size=len(patch_segments),
         phase_seconds=timings,

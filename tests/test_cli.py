@@ -1,5 +1,7 @@
 """Command line behavior: round trips, reports, exit codes, SVG output."""
 
+from pathlib import Path
+
 import slidecam as sc
 from slidecam.cli import main
 from conftest import EAR
@@ -30,7 +32,6 @@ def test_solve_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "total_cameras: 3" in out
     assert "grid_tracks: 4" in out
-    assert "cover_optima_tried: 1" in out
     assert "critical_regions: 1" in out
     assert "patch_tracks: 1" in out
     # the final coverage check is timed after the pipeline's phases
@@ -76,6 +77,17 @@ def test_verify_strict_cap(tmp_path, capsys):
     # the parser is shared between calls: the cap must not carry over
     assert main(["verify", str(path), "--strict"]) == 4
     capsys.readouterr()
+
+
+def test_solve_and_verify_where_no_optimum_leaves_only_staircases(capsys):
+    # The 36-vertex polygon's only grid optimum leaves a non-staircase
+    # piece, and none of the first 5,000 optima of the 3000-vertex one
+    # leaves only staircases.
+    data = Path(__file__).parent / "data"
+    assert main(["verify", "--strict", str(data / "nonstaircase_36.poly")]) == 0
+    assert capsys.readouterr().out.endswith("ok\n")
+    assert main(["solve", str(data / "generated_1_3000.poly"), "--check"]) == 0
+    assert capsys.readouterr().out.endswith("coverage: ok\n")
 
 
 def test_bad_file_exit_code(tmp_path, capsys):

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import slidecam as sc
-from slidecam.cli import main
 from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, comb_polygon, corpus_target, images
 
 H = sc.OrthoSegment.horizontal
@@ -19,7 +18,6 @@ def test_rectangle_needs_one_camera():
     assert run.chosen == ()
     assert run.cover_segments == (V(0, 0, 3),)
     assert run.regions == () and run.patch_segments == ()
-    assert run.stats.optima_tried == 0
     gs = sc.camera_cover(P)
     assert gs.cameras == (V(0, 0, 3),)
     assert gs.provenance == (sc.FROM_S,)
@@ -139,38 +137,30 @@ def test_merged_cameras_prefers_cover_provenance():
         (386, ((20, 21, 5, 6), (21, 22, 4, 6), (22, 24, 5, 6))),
     ],
 )
-def test_pipeline_walks_past_an_optimum_with_a_non_staircase_residue(seed, piece):
+def test_pipeline_patches_the_non_staircase_piece_of_the_first_optimum(seed, piece):
     # The lexicographically smallest optimal grid cover of these 240-vertex
-    # polygons leaves a piece that is not a staircase; run_pipeline succeeds
-    # only because it moves on to a later optimum.
+    # polygons leaves a piece that is not a staircase; run_pipeline keeps
+    # that optimum and patches the piece with a track that sees it whole.
     P = sc.generate_polygon(seed, 240)
     run = sc.run_pipeline(P)
-    first = sc.minimum_guarded_cover(run.graph)
-    assert run.chosen != first
-    # optima drawn until one left staircase pieces, that one included
-    assert run.stats.optima_tried == {119: 4, 386: 97}[seed]
-    segments = [run.grid.segments[i] for i in first]
-    leftover = sc.region_components(sc.uncovered_region(P, segments))
-    assert piece in [c.rects for c in leftover]
-    with pytest.raises(sc.NonStaircaseResidue):
-        sc.critical_regions(P, segments)
-    assert all(sc.is_staircase(r) for r in run.regions)
+    assert run.chosen == sc.minimum_guarded_cover(run.graph)
+    assert piece in [r.rects for r in run.regions]
+    assert not sc.is_staircase(sc.from_rects(piece))
     assert sc.covers_polygon(P, sc.camera_cover(P).cameras)
 
 
 def unpruned_first_optimum_regions(P):
     """Leftover pieces of the first optimum of the grid of all reflex
-    chords, with no domination prune; raises NonStaircaseResidue like
-    critical_regions."""
+    chords, with no domination prune."""
     chords = sc.reflex_chords(P)
     first = sc.minimum_guarded_cover(sc.intersection_graph(chords))
     return sc.critical_regions(P, [chords[i] for i in first])
 
 
 def test_unpruned_grid_first_optimum_leaves_only_staircases(corpus):
-    # The finding behind the retry walk: on the unpruned grid, the first
-    # optimum already leaves only staircase pieces, which points at the
-    # same-orientation prune rather than the cover.
+    # On the unpruned grid the first optimum leaves only staircase pieces,
+    # which points at the same-orientation prune, not the cover, as what
+    # lets non-staircase pieces through on the pruned grid.
     for seed in (119, 386):
         regions = unpruned_first_optimum_regions(sc.generate_polygon(seed, 240))
         assert all(sc.is_staircase(r) for r in regions)
@@ -179,25 +169,30 @@ def test_unpruned_grid_first_optimum_leaves_only_staircases(corpus):
     swept = 0
     for P in polygons:
         if sc.reflex_vertices(P):
-            unpruned_first_optimum_regions(P)
+            assert all(sc.is_staircase(r) for r in unpruned_first_optimum_regions(P))
             swept += 1
     assert swept == 947
 
 
 DATA = Path(__file__).parent / "data"
+# camera_cover's camera count on the fixtures below
+FIXTURE_CAMERAS = {
+    "generated_2_1600.poly": 125,
+    "generated_1_3000.poly": 201,
+    "nonstaircase_36.poly": 5,
+    "generated_676_124.poly": 11,
+}
 
 
-@pytest.mark.xfail(strict=True, raises=sc.TooLarge)
 @pytest.mark.parametrize("name", ["generated_2_1600.poly", "generated_1_3000.poly"])
-def test_camera_cover_covers_the_large_walk_failures(name, monkeypatch):
-    # An open defect: no optimum of the pruned grid that run_pipeline draws
-    # leaves only staircase pieces on these polygons, so the walk ends in
-    # TooLarge (none of the first 5,000 optima is staircase-clean). The
-    # lower cap only makes that quick. Strict: once the walk is mended
-    # these pass, and the xfail marker must go.
-    monkeypatch.setattr("slidecam.pipeline.MAX_OPTIMA", 50)
+def test_camera_cover_covers_the_large_walk_failures(name):
+    # None of the first 5,000 optima of the pruned grid leaves only
+    # staircase pieces here; the first optimum and its patch cover P.
     P = sc.parse_polygon((DATA / name).read_text())
-    assert sc.covers_polygon(P, sc.camera_cover(P).cameras)
+    found = sc.camera_cover(P)
+    assert sc.covers_polygon(P, found.cameras)
+    assert len(found.cameras) == FIXTURE_CAMERAS[name]
+    assert sc.guarded_camera_cover(P).cameras == found.cameras
 
 
 # (file, opt_cameras, opt_guarded_cameras). The 124-vertex polygon's optima
@@ -206,15 +201,14 @@ def test_camera_cover_covers_the_large_walk_failures(name, monkeypatch):
 NON_STAIRCASE = [("nonstaircase_36.poly", 4, 5), ("generated_676_124.poly", 8, 10)]
 
 
-@pytest.mark.xfail(strict=True, raises=sc.NonStaircaseResidue)
 @pytest.mark.parametrize("guarded", [False, True])
 @pytest.mark.parametrize("name, opt, opt_guarded", NON_STAIRCASE)
 def test_covers_within_the_bounds_where_no_optimum_is_staircase_clean(
     name, opt, opt_guarded, guarded
 ):
-    # An open defect: every optimum of the pruned grid leaves a piece that
-    # is not a staircase, so run_pipeline raises NonStaircaseResidue.
-    # Strict: once that is mended these pass, and the xfail marker must go.
+    # Every optimum of the pruned grid leaves a piece that is not a
+    # staircase, which the paper's ratio argument does not cover; the
+    # bounds hold all the same.
     P = sc.parse_polygon((DATA / name).read_text())
     if guarded:
         cameras, bound = sc.guarded_camera_cover(P).cameras, 2.5 * opt_guarded
@@ -222,6 +216,7 @@ def test_covers_within_the_bounds_where_no_optimum_is_staircase_clean(
         cameras, bound = sc.camera_cover(P).cameras, 3.5 * opt
     assert sc.covers_polygon(P, cameras)
     assert len(cameras) <= bound
+    assert len(cameras) == FIXTURE_CAMERAS[name]
 
 
 def test_oracles_on_the_non_staircase_fixture():
@@ -242,18 +237,29 @@ def test_grid_and_cover_sizes_agree_on_all_eight_images(corpus):
         assert len(sizes) == 1, (seed, sizes)
 
 
-def test_walk_cap_raises_too_large_and_solve_exits_4(tmp_path, monkeypatch, capsys):
-    # Seed 386's walk needs 97 optima; below that the cap ends it.
-    P = sc.generate_polygon(386, 240)
-    monkeypatch.setattr("slidecam.pipeline.MAX_OPTIMA", 96)
-    with pytest.raises(sc.TooLarge):
-        sc.run_pipeline(P)
-    path = tmp_path / "p386.txt"
-    path.write_text(sc.format_polygon(P))
-    assert main(["solve", str(path)]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+# (seed, vertices, cameras): generator inputs where no optimum of the
+# pruned grid leaves only staircase pieces, and (878, 74), the smallest
+# input found whose first optimum leaves a non-staircase piece.
+NON_STAIRCASE_SCAN = [
+    (676, 124, 11),
+    (397, 140, 10),
+    (397, 142, 10),
+    (100, 168, 16),
+    (100, 172, 16),
+    (100, 176, 16),
+    (878, 74, 5),
+]
+
+
+@pytest.mark.parametrize("seed, n, cameras", NON_STAIRCASE_SCAN)
+def test_first_optimum_solves_the_non_staircase_scan_inputs(seed, n, cameras):
+    P = sc.generate_polygon(seed, n)
+    run = sc.run_pipeline(P)
+    assert run.chosen == sc.minimum_guarded_cover(run.graph)
+    assert not all(sc.is_staircase(r) for r in run.regions)
+    found = sc.camera_cover(P)
+    assert len(found.cameras) == cameras
+    assert sc.guarded_camera_cover(P).cameras == found.cameras
 
 
 # sha256 of camera_cover's cameras and provenance on generate_polygon seeds

@@ -236,26 +236,16 @@ def region_guards(P, s, r):
     return sc.region_contains(sc.camera_visibility(P, s), r)
 
 
-def test_guards_entirely_matches_region_containment_on_pipeline_pieces(monkeypatch):
-    # every grid track against every leftover piece the pipeline examines,
-    # the non-staircase pieces of discarded optima included
-    from slidecam import critical
-
-    pieces = []
-
-    def recorded(r):
-        pieces.append(r)
-        return sc.is_staircase(r)
-
-    monkeypatch.setattr(critical, "is_staircase", recorded)
+def test_guards_entirely_matches_region_containment_on_pipeline_pieces():
+    # every grid track against every leftover piece the pipeline patches;
+    # seeds 119 and 386 at 240 vertices leave non-staircase pieces
     cases = [(seed, corpus_target(seed)) for seed in range(1, 201)]
     cases += [(119, 240), (386, 240)]
     seen = set()
     for seed, n in cases:
         P = sc.generate_polygon(seed, n)
-        pieces.clear()
         run = sc.run_pipeline(P)
-        for r in set(pieces):
+        for r in run.regions:
             for s in run.grid.segments:
                 want = region_guards(P, s, r)
                 assert sc.guards_entirely(P, s, r) == want, (seed, str(s), r.rects)
@@ -364,7 +354,7 @@ def test_slab_chords_match_per_slab_point_queries(corpus):
     assert min(found.values()) > 1000, found
 
 
-def test_grid_tracks_slab_chords_come_cached_from_the_chord_table(corpus, monkeypatch):
+def test_grid_tracks_slab_chords_come_cached_from_the_chord_table(corpus):
     # prune_dominated writes every survivor's slab chords from the chord
     # table; on a fresh parse no other code has filled the cache first.
     texts = [sc.format_polygon(P) for _seed, P in corpus]
@@ -374,16 +364,10 @@ def test_grid_tracks_slab_chords_come_cached_from_the_chord_table(corpus, monkey
     ]
     texts += [sc.format_polygon(sc.generate_polygon(seed, 240)) for seed in range(1, 11)]
     texts.append((Path(__file__).parent / "data" / "generated_2_1600.poly").read_text())
-    # the 1600-vertex walk ends in TooLarge (see test_pipeline.py); the
-    # cap only makes that quick
-    monkeypatch.setattr("slidecam.pipeline.MAX_OPTIMA", 20)
     entries = 0
     for text in texts:
         P = sc.parse_polygon(text)
-        try:
-            grid = sc.run_pipeline(P).grid
-        except sc.TooLarge:
-            grid = sc.prune_dominated(P, sc.reflex_chords(P))
+        grid = sc.run_pipeline(P).grid
         cache = P._cache.get("slab_chords", {})
         fresh = sc.parse_polygon(text)
         for s in grid.segments:
