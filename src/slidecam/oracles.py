@@ -4,8 +4,10 @@ These are the ground truth the approximation bounds are tested against.
 They deliberately avoid the solver modules' search code: candidate pruning
 is redone here with bitmask subset tests over an exact cell decomposition,
 and optima come from plain subset enumeration in increasing cardinality.
-One rasteriser (_CellMasks._cells, a bisect walk over the overlay grid)
-both indexes the target's cells and turns each tool into a bitmask, and one
+Each candidate's visible set is read as rects straight off P's column
+tables (_track_rects), never off a cache the solver fills. One rasteriser
+(_CellMasks, one big-int multiply per rect on a column-major cell
+numbering) turns the target and every tool into bitmasks, and one
 enumeration (_first_cover) answers every cardinality-first search except
 the guarded one, which weighs doubled tracks and keeps its own loop.
 
@@ -20,15 +22,25 @@ minimum cardinality first, lexicographically smallest second.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from itertools import combinations
 
 from .errors import TooLarge
-from .geom import HORIZONTAL, VERTICAL, OrthoPolygon, OrthoSegment, max_chord, reflex_vertices
+from .geom import (
+    HORIZONTAL,
+    VERTICAL,
+    OrthoPolygon,
+    OrthoSegment,
+    _interval_at,
+    max_chord,
+    reflex_vertices,
+)
 from .grid import IntersectionGraph
 from .guarded_cover import is_guarded_cover
-from .region import RectilinearRegion, from_rects, polygon_region
-from .visibility import camera_guards_camera, camera_visibility
+from .visibility import camera_guards_camera
+# camera_visibility is unused here: perfbench/spans.py wraps the name on
+# this module and fails when it is missing.
+from .visibility import camera_visibility  # noqa: F401
 
 
 def _left_edge_camera(P: OrthoPolygon) -> OrthoSegment:
@@ -37,44 +49,75 @@ def _left_edge_camera(P: OrthoPolygon) -> OrthoSegment:
 
 
 class _CellMasks:
-    """Exact coverage arithmetic on the overlay of target and tool regions.
+    """Exact coverage arithmetic on the overlay of target and tool rects.
 
-    The overlay grid refines every rectangle of the target region and of
-    each tool region, so each cell is entirely inside or outside any of
-    them; a tool set covers the target iff the OR of tool masks has every
-    target cell bit set.
+    The overlay grid refines every target rect and every tool rect, so each
+    cell is entirely inside or outside any of them. Cell (i, j), in the
+    grid's i-th column and j-th row, is bit i*H + j with H rows, so a rect's
+    mask is a run of set bits repeated once per column it spans: one
+    multiply by a ruler of one-bits H apart. Tool masks are cut to the
+    target's cells, and a tool set covers the target iff the OR of its
+    masks equals full, the target's own mask.
     """
 
-    def __init__(self, target: RectilinearRegion, tools: list[RectilinearRegion]):
-        xs = {x for r in target.rects for x in (r[0], r[1])}
-        ys = {y for r in target.rects for y in (r[2], r[3])}
-        for t in tools:
-            xs.update(x for r in t.rects for x in (r[0], r[1]))
-            ys.update(y for r in t.rects for y in (r[2], r[3]))
+    def __init__(self, target, tools):
+        """target is a rect list, tools one rect list per tool."""
+        xs = {x for r in target for x in (r[0], r[1])}
+        ys = {y for r in target for y in (r[2], r[3])}
+        for rects in tools:
+            xs.update(x for r in rects for x in (r[0], r[1]))
+            ys.update(y for r in rects for y in (r[2], r[3]))
         self.xs = sorted(xs)
         self.ys = sorted(ys)
-        # canonical rects meet only along edges, so no cell is listed twice
-        cells = sorted(c for r in target.rects for c in self._cells(r))
-        self.index = {c: a for a, c in enumerate(cells)}
-        self.full = (1 << len(cells)) - 1
-        self.masks = [self._rasterize(t) for t in tools]
+        self.H = len(self.ys) - 1
+        self._col = {x: i for i, x in enumerate(self.xs)}
+        self._row = {y: j for j, y in enumerate(self.ys)}
+        self._rulers = [0]  # _rulers[k]: k one-bits, H apart
+        self.full = self._rasterize(target)
+        self.masks = [self._rasterize(rects) & self.full for rects in tools]
 
-    def _cells(self, rect):
-        """The (i, j) overlay cells inside a rect, which the grid refines."""
-        x0, x1, y0, y1 = rect
-        js = range(bisect_left(self.ys, y0), bisect_left(self.ys, y1))
-        for i in range(bisect_left(self.xs, x0), bisect_left(self.xs, x1)):
-            for j in js:
-                yield i, j
-
-    def _rasterize(self, region: RectilinearRegion) -> int:
+    def _rasterize(self, rects) -> int:
+        col, row, rulers, H = self._col, self._row, self._rulers, self.H
         mask = 0
-        for rect in region.rects:
-            for c in self._cells(rect):
-                a = self.index.get(c)
-                if a is not None:
-                    mask |= 1 << a
+        for x0, x1, y0, y1 in rects:
+            i0, j0 = col[x0], row[y0]
+            k = col[x1] - i0
+            while len(rulers) <= k:
+                rulers.append((rulers[-1] << H) | 1)
+            mask |= (((1 << (row[y1] - j0)) - 1) * rulers[k]) << (i0 * H + j0)
         return mask
+
+
+def _polygon_rects(P: OrthoPolygon):
+    """P as one rect per interval of each column of its slab table."""
+    XS, gaps, _events = P._columns()
+    return [
+        (XS[k] // 2, XS[k + 1] // 2, lo // 2, hi // 2)
+        for k, column in enumerate(gaps)
+        for lo, hi in column
+    ]
+
+
+def _track_rects(P: OrthoPolygon, s: OrthoSegment):
+    """What a camera on the track s sees, as rects in P's frame.
+
+    Over each slab of s's span the camera sees exactly the interval of that
+    column of P that holds s's line, so the rects are read straight off P's
+    column table, or off its transpose's with the axes swapped back for a
+    vertical s. s must lie inside P.
+    """
+    Q, t = (P.transposed(), s.transposed()) if s.is_vertical else (P, s)
+    xs, gaps = Q.vertex_xs(), Q._columns()[1]
+    first, last = bisect_right(xs, t.lo), bisect_left(xs, t.hi)
+    cuts = [t.lo, *xs[first:last], t.hi]
+    Y = 2 * t.anchor
+    rects = []
+    for a, b, column in zip(cuts, cuts[1:], gaps[first - 1 : last]):
+        lo, hi = _interval_at(column, Y)
+        rects.append((a, b, lo // 2, hi // 2))
+    if s.is_vertical:
+        rects = [(y0, y1, x0, x1) for x0, x1, y0, y1 in rects]
+    return rects
 
 
 def _kept_candidates(P: OrthoPolygon, cap: int):
@@ -83,8 +126,10 @@ def _kept_candidates(P: OrthoPolygon, cap: int):
     Returns (segments, masks, full) where segments are the maximal reflex
     chords surviving same-orientation coverage containment (ties keep the
     lexicographically smallest) and masks are their coverage bitmasks over
-    the polygon's own cell decomposition. Containment across orientations
-    is deliberately not pruned, matching the grid the pipeline covers.
+    the polygon's cells, each chord's read off P's column tables by
+    _track_rects: no visible set is built and nothing the solver cached is
+    read. Containment across orientations is deliberately not pruned,
+    matching the grid the pipeline covers.
     The result is cached on P; raises TooLarge past `cap` segments.
     """
     out = P._cache.get("oracle_candidates")
@@ -94,8 +139,7 @@ def _kept_candidates(P: OrthoPolygon, cap: int):
             chords.add(max_chord(P, v, HORIZONTAL))
             chords.add(max_chord(P, v, VERTICAL))
         chords = sorted(chords)
-        vis = [camera_visibility(P, c) for c in chords]
-        cm = _CellMasks(polygon_region(P), vis)
+        cm = _CellMasks(_polygon_rects(P), [_track_rects(P, c) for c in chords])
         by_mask: dict[tuple[str, int], OrthoSegment] = {}
         for c, m in zip(chords, cm.masks):
             by_mask.setdefault((c.orientation, m), c)
@@ -204,7 +248,7 @@ def opt_region_cover(P: OrthoPolygon, regions, cap: int = 22):
     if not regions:
         return 0, ()
     segments, _masks, _full = _kept_candidates(P, cap)
-    target = from_rects(r for reg in regions for r in reg.rects)
-    cm = _CellMasks(target, [camera_visibility(P, s) for s in segments])
+    target = [r for reg in regions for r in reg.rects]
+    cm = _CellMasks(target, [_track_rects(P, s) for s in segments])
     k, combo = _first_cover(cm.masks, cm.full)
     return k, tuple(segments[i] for i in combo)

@@ -1,9 +1,11 @@
 """Brute-force optima: frozen values on the hand-checked shapes and
-feasibility of every witness they return, and the oracles' cell masks and
-cover enumeration against the code they replaced."""
+feasibility of every witness they return, the oracles' cell masks and
+cover enumeration against the code they replaced, and their independence
+from what the solver caches."""
 
 from bisect import bisect_left
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, comb_polygon
 
 H = sc.OrthoSegment.horizontal
 V = sc.OrthoSegment.vertical
+DATA = Path(__file__).parent / "data"
 
 
 def test_opt_cameras_named():
@@ -107,18 +110,20 @@ def test_witnesses_are_lexicographically_first():
 
 
 def reference_index(xs, ys, target):
-    """The overlay cells as first indexed: a centre point test per cell."""
+    """The overlay cells inside the target, by a centre point test per
+    cell, each at bit i*H + j for column i and row j of H rows."""
+    H = len(ys) - 1
     index = {}
     for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
+        for j in range(H):
             if target.contains_point_scaled(xs[i] + xs[i + 1], ys[j] + ys[j + 1]):
-                index[(i, j)] = len(index)
+                index[(i, j)] = i * H + j
     return index
 
 
-def reference_rasterize(xs, ys, index, region):
+def reference_rasterize(xs, ys, index, rects):
     mask = 0
-    for x0, x1, y0, y1 in region.rects:
+    for x0, x1, y0, y1 in rects:
         for i in range(bisect_left(xs, x0), bisect_left(xs, x1)):
             for j in range(bisect_left(ys, y0), bisect_left(ys, y1)):
                 if (i, j) in index:
@@ -165,30 +170,34 @@ def reference_region_loop(masks, full):
 
 def check_cell_masks(target, tools):
     cm = sc.oracles._CellMasks(target, tools)
-    index = reference_index(cm.xs, cm.ys, target)
-    assert cm.index == index
-    assert cm.full == (1 << len(index)) - 1
+    rects = [r for rs in [target, *tools] for r in rs]
+    assert cm.xs == sorted({x for r in rects for x in r[:2]})
+    assert cm.ys == sorted({y for r in rects for y in r[2:]})
+    index = reference_index(cm.xs, cm.ys, sc.from_rects(target))
+    assert cm.full == sum(1 << a for a in index.values())
     assert cm.masks == [reference_rasterize(cm.xs, cm.ys, index, t) for t in tools]
     return cm
 
 
 def test_cell_masks_and_first_cover_match_references(corpus_runs):
-    # two target rects in one column run that the tool splits in two: the
-    # cells of one rect do not come before the other's in index order
-    target = sc.from_rects([(0, 2, 0, 1), (0, 2, 2, 3)])
-    check_cell_masks(target, [sc.from_rects([(1, 2, 0, 3)])])
+    # overlapping target rects, a tool rect spanning several columns and
+    # rows, and tools partly and wholly outside the target
+    target = [(0, 2, 0, 1), (0, 2, 2, 3), (1, 3, 0, 3)]
+    check_cell_masks(target, [[(1, 2, 0, 3)], [(0, 4, 0, 2), (-1, 1, 1, 3)], [(5, 6, 0, 1)]])
     loops = 0
     for seed, P, run in corpus_runs[:100]:
         if not sc.reflex_vertices(P):
             continue
         segments, masks, full = sc.oracles._kept_candidates(P, 30)
+        # _kept_candidates reads each track off P's column tables; these
+        # masks come from the visible sets as regions instead
         chords = sorted({
             sc.max_chord(P, v, o)
             for v in sc.reflex_vertices(P)
             for o in (sc.HORIZONTAL, sc.VERTICAL)
         })
-        vis = [sc.camera_visibility(P, c) for c in chords]
-        cm = check_cell_masks(sc.polygon_region(P), vis)
+        vis = [sc.camera_visibility(P, c).rects for c in chords]
+        cm = check_cell_masks(sc.polygon_region(P).rects, vis)
         assert cm.full == full
         assert masks == tuple(cm.masks[chords.index(s)] for s in segments)
         got = sc.oracles._first_cover(masks, full)
@@ -199,9 +208,42 @@ def test_cell_masks_and_first_cover_match_references(corpus_runs):
         k, combo = sc.oracles._first_cover([adj[v] for v in rest], full)
         assert (k, tuple(rest[i] for i in combo)) == reference_grid_loop(adj, rest), seed
         if run.regions:
-            target = sc.from_rects(r for reg in run.regions for r in reg.rects)
-            cm = check_cell_masks(target, [sc.camera_visibility(P, s) for s in segments])
+            target = [r for reg in run.regions for r in reg.rects]
+            cm = check_cell_masks(target, [sc.camera_visibility(P, s).rects for s in segments])
             got = sc.oracles._first_cover(cm.masks, cm.full)
             assert got == reference_region_loop(cm.masks, cm.full), seed
+            assert sc.opt_region_cover(P, run.regions, 30) == (
+                got[0], tuple(segments[i] for i in got[1])
+            ), seed
             loops += 1
     assert loops > 0
+
+
+def test_kept_candidates_read_nothing_the_solver_cached(corpus):
+    # The pipeline caches every grid track's slab chords on P. Corrupted,
+    # they must not reach the oracles' candidates or masks.
+    compared = 0
+    for seed, P0 in corpus:
+        if not sc.reflex_vertices(P0):
+            continue
+        text = sc.format_polygon(P0)
+        P = sc.parse_polygon(text)
+        sc.run_pipeline(P)
+        cache = P._cache["slab_chords"]
+        for s, chords in cache.items():
+            if chords is not None:
+                Y = 2 * s.anchor
+                cache[s] = [(a, b, Y, Y) for a, b, _lo, _hi in chords]
+        got = sc.oracles._kept_candidates(P, 1000)
+        assert got == sc.oracles._kept_candidates(sc.parse_polygon(text), 1000), seed
+        compared += 1
+    assert compared > 400
+
+
+def test_kept_candidates_at_scale():
+    # the domination arithmetic far past the corpus sizes
+    P = sc.parse_polygon((DATA / "generated_676_124.poly").read_text())
+    assert len(sc.oracles._kept_candidates(P, 27)[0]) == 27
+    P = sc.parse_polygon((DATA / "generated_2_1600.poly").read_text())
+    with pytest.raises(sc.TooLarge, match="^341 candidate tracks exceed the cap of 22$"):
+        sc.opt_cameras(P)
