@@ -9,6 +9,14 @@ the boundary has the requested number of vertices, which changes by an
 even amount per cell, so any even target from 4 up is reachable; a
 seed-derived retry covers runs that overshoot and strand themselves.
 
+Both tests on a candidate cell, the arc count and the vertex-count change,
+depend only on which of its 8 ring neighbours are occupied: the cell itself
+is never in the blob, and its four corners touch no cell outside the ring
+and itself. So _attempt reads the ring once into an 8-bit pattern (_ring)
+and looks both answers up in _ARCS and _DELTA, which run _arcs and
+_corner_delta on each of the 256 patterns at import. The tables are those
+functions, evaluated in advance.
+
 Each step tries the frontier cells (kept as a sorted list) in a random
 order. The RNG stream is random.shuffle's draws over that list, inlined in
 _shuffled: every polygon depends on it, so it must not change.
@@ -61,8 +69,34 @@ def _arcs(cells, x, y):
     return sum(ring[i] and not ring[i - 1] for i in range(8))
 
 
-def _trace(cells) -> list[Point]:
-    """CCW boundary of a pinch-free, hole-free cell set, collinear merged."""
+def _ring(cells, x, y) -> int:
+    """The occupied cells of the 8-ring around (x,y) as a pattern: bit i
+    set when the cell at offset _RING[i] is in cells."""
+    return (
+        ((x, y + 1) in cells)
+        | ((x + 1, y + 1) in cells) << 1
+        | ((x + 1, y) in cells) << 2
+        | ((x + 1, y - 1) in cells) << 3
+        | ((x, y - 1) in cells) << 4
+        | ((x - 1, y - 1) in cells) << 5
+        | ((x - 1, y) in cells) << 6
+        | ((x - 1, y + 1) in cells) << 7
+    )
+
+
+def _ring_cells(m: int) -> set[tuple[int, int]]:
+    """The cells around (0,0) that ring pattern m marks occupied."""
+    return {d for i, d in enumerate(_RING) if m >> i & 1}
+
+
+# _arcs and _corner_delta at every ring pattern (see the module docstring).
+_ARCS = tuple(_arcs(_ring_cells(m), 0, 0) for m in range(256))
+_DELTA = tuple(_corner_delta(_ring_cells(m), 0, 0) for m in range(256))
+
+
+def _trace(cells) -> list[tuple[int, int]]:
+    """CCW boundary corners of a pinch-free, hole-free cell set, collinear
+    merged."""
     edges = {}
     for x, y in cells:
         if (x, y - 1) not in cells:
@@ -87,7 +121,7 @@ def _trace(cells) -> list[Point]:
         if (a[0] == p[0] == b[0]) or (a[1] == p[1] == b[1]):
             continue
         out.append(p)
-    return [Point(x, y) for x, y in out]
+    return out
 
 
 def _shuffled(rng: random.Random, items: list) -> list:
@@ -117,9 +151,10 @@ def _attempt(rng: random.Random, target: int, max_cells: int):
         placed = False
         for c in _shuffled(rng, frontier):
             x, y = c
-            if _arcs(cells, x, y) > 1:
+            m = _ring(cells, x, y)
+            if _ARCS[m] > 1:
                 continue
-            delta = _corner_delta(cells, x, y)
+            delta = _DELTA[m]
             if vcount + delta > target:
                 continue
             cells.add(c)
@@ -157,8 +192,7 @@ def generate_polygon(seed: int, vertices: int) -> OrthoPolygon:
         cells = _attempt(rng, vertices, max_cells)
         if cells is not None:
             pts = _trace(cells)
-            min_x = min(p.x for p in pts)
-            min_y = min(p.y for p in pts)
-            shifted = [Point(p.x - min_x, p.y - min_y) for p in pts]
-            return validate_polygon(shifted)
+            min_x = min(x for x, _y in pts)
+            min_y = min(y for _x, y in pts)
+            return validate_polygon([Point(x - min_x, y - min_y) for x, y in pts])
     raise RuntimeError(f"gave up generating a {vertices}-vertex polygon")

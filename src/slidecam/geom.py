@@ -188,13 +188,13 @@ class OrthoPolygon:
             return out
         XS = [2 * x for x in self.vertex_xs()]
         # A horizontal edge's y toggles in and out of the crossing set at its
-        # end x's. Validation keeps two horizontal edges at one y from
-        # touching, so no column crosses both and toggling is exact.
+        # end x's, and every vertex ends exactly one horizontal edge, so the
+        # toggles at X are the y's of the vertices on x = X/2. Validation
+        # keeps two horizontal edges at one y from touching, so no column
+        # crosses both and toggling is exact.
         toggles: dict[int, list[int]] = {X: [] for X in XS}
-        for a, b in self.edges():
-            if a.y == b.y:
-                toggles[2 * a.x].append(2 * a.y)
-                toggles[2 * b.x].append(2 * a.y)
+        for v in self.vertices:
+            toggles[2 * v.x].append(2 * v.y)
         crossing: set[int] = set()
         gaps = []
         for X in XS[:-1]:
@@ -202,7 +202,10 @@ class OrthoPolygon:
             ys = sorted(crossing)
             gaps.append(tuple(zip(ys[::2], ys[1::2])))
         padded = [(), *gaps, ()]
-        events = [_merge_closed(left + right) for left, right in zip(padded, padded[1:])]
+        events = [
+            _merge_closed(left + right) if left and right else left or right
+            for left, right in zip(padded, padded[1:])
+        ]
         out = (XS, gaps, events)
         self._cache["columns"] = out
         return out
@@ -275,6 +278,9 @@ def validate_polygon(vertices, collinear: str = "normalize") -> OrthoPolygon:
     vertex raises CollinearRedundantVertex instead of being dropped.
 
     Raises NotClosed, NonOrthogonalEdge or SelfIntersecting on bad input.
+    Edges that touch, other than consecutive ones at their shared vertex,
+    are found by _touching_pairs' sweep, run on each edge's (orientation,
+    anchor, lo, hi) tuple, so no OrthoSegment is built.
     """
     if collinear not in ("normalize", "reject"):
         raise ValueError("collinear must be 'normalize' or 'reject'")
@@ -315,14 +321,14 @@ def validate_polygon(vertices, collinear: str = "normalize") -> OrthoPolygon:
 
     n = len(pts)
     edges = list(zip(pts, pts[1:] + pts[:1]))
-    segs = [
-        OrthoSegment.horizontal(a.y, a.x, b.x)
+    keys = [
+        (HORIZONTAL, a.y, min(a.x, b.x), max(a.x, b.x))
         if a.y == b.y
-        else OrthoSegment.vertical(a.x, a.y, b.y)
+        else (VERTICAL, a.x, min(a.y, b.y), max(a.y, b.y))
         for a, b in edges
     ]
     # Merged runs leave consecutive edges meeting only at their shared vertex.
-    for i, j in _touching_pairs(segs):
+    for i, j in _touching_pairs(keys):
         if j != i + 1 and (i, j) != (0, n - 1):
             (a, b), (c, d) = edges[i], edges[j]
             raise SelfIntersecting(f"edges {a}->{b} and {c}->{d} touch")
@@ -335,31 +341,32 @@ def validate_polygon(vertices, collinear: str = "normalize") -> OrthoPolygon:
     return OrthoPolygon(pts)
 
 
-def _touching_pairs(segments) -> list[tuple[int, int]]:
+def _touching_pairs(keys) -> list[tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, of the closed orthogonal segments
-    that meet. A sweep: each vertical bisects the horizontals, sorted by
-    anchor, for those whose line its span reaches and whose span reaches its
-    line. Parallel segments meet only when collinear: sorted by (orientation,
+    that meet, each given as its (orientation, anchor, lo, hi) tuple: the
+    fields, and the order, of OrthoSegment, without building one.
+
+    A sweep: each vertical bisects the horizontals, sorted by anchor, for
+    those whose line its span reaches and whose span reaches its line.
+    Parallel segments meet only when collinear: sorted by (orientation,
     anchor, lo), each meets the run of followers on its line that start by
     its hi.
     """
-    # A plain tuple key gives the dataclass order without its slow __lt__.
-    keys = [(s.orientation, s.anchor, s.lo, s.hi) for s in segments]
-    order = sorted(range(len(segments)), key=keys.__getitem__)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     pairs = []
     for p, i in enumerate(order):
-        s = segments[i]
+        o, anchor, _lo, hi = keys[i]
         for q in range(p + 1, len(order)):
-            t = segments[order[q]]
-            if t.orientation != s.orientation or t.anchor != s.anchor or t.lo > s.hi:
+            o2, anchor2, lo2, _hi2 = keys[order[q]]
+            if o2 != o or anchor2 != anchor or lo2 > hi:
                 break
             pairs.append((min(i, order[q]), max(i, order[q])))
-    horizontals = [i for i in order if segments[i].is_horizontal]
-    anchors = [segments[i].anchor for i in horizontals]
+    horizontals = [i for i in order if keys[i][0] == HORIZONTAL]
+    anchors = [keys[i][1] for i in horizontals]
     for j in order[len(horizontals) :]:
-        v = segments[j]
-        for i in horizontals[bisect_left(anchors, v.lo) : bisect_right(anchors, v.hi)]:
-            if segments[i].lo <= v.anchor <= segments[i].hi:
+        _o, x, lo, hi = keys[j]
+        for i in horizontals[bisect_left(anchors, lo) : bisect_right(anchors, hi)]:
+            if keys[i][2] <= x <= keys[i][3]:
                 pairs.append((min(i, j), max(i, j)))
     pairs.sort()
     return pairs

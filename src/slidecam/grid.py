@@ -234,8 +234,8 @@ def _segments_of(g) -> tuple[OrthoSegment, ...]:
 def intersection_graph(g) -> IntersectionGraph:
     """Closed pairwise intersections of a Grid (or raw segment list), from
     geom._touching_pairs: the sweep validate_polygon runs on P's edges."""
-    segments = _segments_of(g)
-    return IntersectionGraph(len(segments), tuple(_touching_pairs(segments)))
+    keys = [(s.orientation, s.anchor, s.lo, s.hi) for s in _segments_of(g)]
+    return IntersectionGraph(len(keys), tuple(_touching_pairs(keys)))
 
 
 def is_simple_grid(g, P: OrthoPolygon) -> bool:

@@ -5,7 +5,8 @@ They deliberately avoid the solver modules' search code: candidate pruning
 is redone here with bitmask subset tests over an exact cell decomposition,
 and optima come from plain subset enumeration in increasing cardinality.
 Each candidate's visible set is read as rects straight off P's column
-tables (_track_rects), never off a cache the solver fills. One rasteriser
+tables (_track_rects), and so is which candidates watch which
+(_watch_masks), never off a cache the solver fills. One rasteriser
 (_CellMasks, one big-int multiply per rect on a column-major cell
 numbering) turns the target and every tool into bitmasks, and one
 enumeration (_first_cover) answers every cardinality-first search except
@@ -37,10 +38,10 @@ from .geom import (
 )
 from .grid import IntersectionGraph
 from .guarded_cover import is_guarded_cover
-from .visibility import camera_guards_camera
-# camera_visibility is unused here: perfbench/spans.py wraps the name on
-# this module and fails when it is missing.
-from .visibility import camera_visibility  # noqa: F401
+# camera_visibility and camera_guards_camera are unused here:
+# perfbench/spans.py wraps both names on this module and fails when they
+# are missing.
+from .visibility import camera_guards_camera, camera_visibility  # noqa: F401
 
 
 def _left_edge_camera(P: OrthoPolygon) -> OrthoSegment:
@@ -120,6 +121,46 @@ def _track_rects(P: OrthoPolygon, s: OrthoSegment):
     return rects
 
 
+def _watch_masks(P: OrthoPolygon, segments):
+    """masks[i] has bit j set when a camera on segments[j] sees every point
+    of the track segments[i] (i != j), each track inside P.
+
+    A parallel track sees all of t exactly when its span holds t's and, over
+    every slab of t's span, its line crosses the column interval that holds
+    t's line: the rects of _track_rects(P, t). A perpendicular track g sees
+    all of t exactly when g's span holds t's line and the chord along t's
+    line through the crossing of the two lines holds that crossing and all
+    of t. Both read P's column tables, never the slab chords the solver
+    caches.
+    """
+    clearance = []
+    for t in segments:
+        k = 0 if t.is_vertical else 2  # the rect's extent across t's line
+        rects = _track_rects(P, t)
+        clearance.append((max(r[k] for r in rects), min(r[k + 1] for r in rects)))
+    masks = [0] * len(segments)
+    for i, t in enumerate(segments):
+        lo, hi = clearance[i]
+        for j, g in enumerate(segments):
+            if i == j:
+                continue
+            if g.orientation == t.orientation:
+                seen = g.lo <= t.lo and t.hi <= g.hi and lo <= g.anchor <= hi
+            elif g.lo <= t.anchor <= g.hi:
+                X, Y = (t.anchor, g.anchor) if t.is_vertical else (g.anchor, t.anchor)
+                iv = P.chord_scaled(2 * X, 2 * Y, t.orientation)
+                seen = (
+                    iv is not None
+                    and iv[0] <= 2 * min(g.anchor, t.lo)
+                    and 2 * max(g.anchor, t.hi) <= iv[1]
+                )
+            else:
+                seen = False
+            if seen:
+                masks[i] |= 1 << j
+    return masks
+
+
 def _kept_candidates(P: OrthoPolygon, cap: int):
     """Independent rederivation of the pruned chord set with cell masks.
 
@@ -190,11 +231,7 @@ def opt_guarded_cameras(P: OrthoPolygon, cap: int = 22):
         return 2, (cam, cam)
     segments, masks, full = _kept_candidates(P, cap)
     n = len(segments)
-    guard_mask = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i != j and camera_guards_camera(P, segments[j], segments[i]):
-                guard_mask[i] |= 1 << j
+    guard_mask = _watch_masks(P, segments)
     best_cost = None
     best_witness = None
     m = 1

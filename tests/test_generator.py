@@ -146,19 +146,43 @@ def refused(cells, x, y):
 
 
 def test_arc_count_matches_pinch_and_flood(monkeypatch):
-    arcs = generator._arcs
+    # _attempt reads each candidate's ring once and looks its arc count up
+    # in _ARCS; wrap that read to check each answer against the references.
+    ring = generator._ring
     examined = []
 
     def checked(cells, x, y):
-        out = arcs(cells, x, y)
+        m = ring(cells, x, y)
+        out = generator._ARCS[m]
+        assert out == generator._arcs(cells, x, y), (sorted(cells), x, y)
         assert (out > 1) == refused(cells, x, y), (sorted(cells), x, y)
         examined.append(out > 1)
-        return out
+        return m
 
-    monkeypatch.setattr(generator, "_arcs", checked)
+    monkeypatch.setattr(generator, "_ring", checked)
     for seed in range(1, 201):
         sc.generate_polygon(seed, corpus_target(seed))
     assert any(examined) and not all(examined)
+
+
+def test_delta_table_matches_traced_vertex_counts():
+    # Every ring the growth can meet is one arc of the 8 cells around the
+    # candidate: it holds an orthogonal cell (the candidate touches the
+    # blob) but not all four (the blob has no holes). The vertex change is
+    # then what tracing the arc with and without the centre says.
+    met = set()
+    for start in range(8):
+        for length in range(1, 8):
+            arc = {generator._RING[(start + k) % 8] for k in range(length)}
+            orthogonal = arc & set(_ORTHO)
+            if not orthogonal or len(orthogonal) == 4:
+                continue
+            m = generator._ring(arc, 0, 0)
+            assert generator._ARCS[m] == 1, sorted(arc)
+            grown = len(generator._trace(arc | {(0, 0)})) - len(generator._trace(arc))
+            assert generator._DELTA[m] == grown, sorted(arc)
+            met.add(m)
+    assert len(met) == 48
 
 
 def test_arc_count_refuses_pinch_and_pocket():

@@ -240,6 +240,48 @@ def test_kept_candidates_read_nothing_the_solver_cached(corpus):
     assert compared > 400
 
 
+def test_opt_guarded_cameras_read_nothing_the_solver_cached(corpus):
+    # As above for the guarded optimum's watch test: slab chords widened
+    # after a solve must not change who watches whom.
+    compared = 0
+    for seed, P0 in corpus:
+        if not sc.reflex_vertices(P0):
+            continue
+        text = sc.format_polygon(P0)
+        P = sc.parse_polygon(text)
+        sc.run_pipeline(P)
+        cache = P._cache["slab_chords"]
+        for s, chords in cache.items():
+            if chords is not None:
+                cache[s] = [(a, b, -(10**6), 10**6) for a, b, _lo, _hi in chords]
+        try:
+            got = sc.opt_guarded_cameras(P)
+        except sc.TooLarge:
+            continue
+        assert got == sc.opt_guarded_cameras(sc.parse_polygon(text)), seed
+        compared += 1
+    assert compared > 400
+
+
+def test_watch_masks_match_camera_guards_camera(corpus):
+    # The oracle's own watch test against the solver's predicate, each on a
+    # fresh polygon, over every pair of candidate tracks.
+    for seed, P0 in corpus:
+        text = sc.format_polygon(P0)
+        segments = sc.oracles._kept_candidates(sc.parse_polygon(text), 1000)[0]
+        Q = sc.parse_polygon(text)
+        want = [
+            sum(
+                1 << j
+                for j, g in enumerate(segments)
+                if j != i and sc.camera_guards_camera(Q, g, t)
+            )
+            for i, t in enumerate(segments)
+        ]
+        P = sc.parse_polygon(text)
+        assert sc.oracles._watch_masks(P, segments) == want, seed
+
+
 def test_kept_candidates_at_scale():
     # the domination arithmetic far past the corpus sizes
     P = sc.parse_polygon((DATA / "generated_676_124.poly").read_text())

@@ -1,5 +1,6 @@
 """End-to-end guard placement on the hand-checked shapes."""
 
+import gc
 import hashlib
 from pathlib import Path
 
@@ -286,3 +287,26 @@ def test_ladder_covers_are_pinned(n):
     # The exact-camera tests above use small shapes; these pin the output
     # where the benchmark runs.
     assert cover_digest(n) == LADDER_DIGESTS[n]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 14: transposed twins cache each other, and "
+    "optimal_covers' recursive emit closes over itself",
+)
+def test_a_solve_leaves_no_cyclic_garbage():
+    # Everything a solve builds should be freed by reference counting, so
+    # that the cyclic collector has nothing to find afterwards.
+    text = sc.format_polygon(sc.generate_polygon(1, 240))
+    sc.camera_cover(sc.parse_polygon(text))
+    gc.collect()
+    gc.disable()
+    try:
+        P = sc.parse_polygon(text)
+        sc.camera_cover(P)
+        sc.guarded_camera_cover(P)
+        del P
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
