@@ -164,7 +164,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--seed", type=int, required=True,
                        help="non-negative integer")
     p_gen.add_argument("--vertices", type=int, required=True,
-                       help="even vertex count, at least 4")
+                       help="even vertex count, at least 4; growth is capped "
+                       "at 4x this many cells, so large counts can fail: "
+                       "2000 with seed 1 gives up after 200 attempts "
+                       "(about 5 minutes) and exits 2 (ROADMAP item 3)")
     p_gen.set_defaults(func=cmd_gen)
 
     p_verify = sub.add_parser(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import OrthoPolygon, _merge_closed
+from .geom import _merge_closed
 
 Rect = tuple[int, int, int, int]  # (x0, x1, y0, y1), closed
 
@@ -168,18 +168,3 @@ def region_components(r: RectilinearRegion) -> list[RectilinearRegion]:
     comps = [from_rects(g) for g in groups.values()]
     comps.sort(key=lambda c: c.rects)
     return comps
-
-
-def polygon_region(P: OrthoPolygon) -> RectilinearRegion:
-    """The closed polygon as a canonical region."""
-    out = P._cache.get("region")
-    if out is None:
-        XS, gaps, _events = P._columns()
-        rects = []
-        for i in range(len(XS) - 1):
-            for Y0, Y1 in gaps[i]:
-                rects.append((XS[i] // 2, XS[i + 1] // 2, Y0 // 2, Y1 // 2))
-        out = from_rects(rects)
-        P._cache["region"] = out
-    return out
-

@@ -11,9 +11,7 @@ part, and guards_entirely reads them directly. Vertical tracks work
 transposed. The grid prune reads the same common part for every reflex
 chord at once, in grid._chord_table, straight off the column tables, and
 camera_guards_camera uses _clearance for one parallel pair at a time.
-_slab_chords' cache is filled in two places: grid.prune_dominated hands
-every grid track's intervals from the chord table to _cache_slab_chords,
-and _slab_chords itself builds any other track's on first use.
+_slab_chords alone fills its cache on P, for any track on first use.
 
 The solve path builds no visible set and runs no region algebra.
 uncovered_region (behind covers_polygon and critical_regions) marks the
@@ -23,7 +21,7 @@ every other interval unseen. Vertical tracks do the same on the transposed
 table, that is on P's rows. An unseen column piece can meet an unseen row
 piece only inside one cell between consecutive vertex lines, so the two
 leftovers are met row by row and canonicalised once.
-camera_visibility, visible_union and dominates build visible sets as
+camera_visibility, visible_union, dominates and polygon_region build
 regions, for callers and tests that want them.
 
 The visible set is regularized. True visibility may additionally include
@@ -38,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import SegmentNotInside
-from .geom import VERTICAL, OrthoPolygon, OrthoSegment, _interval_at
+from .geom import VERTICAL, OrthoPolygon, OrthoSegment
 from .region import (
     EMPTY_REGION,
     RectilinearRegion,
@@ -54,8 +52,7 @@ from .region import region_difference  # noqa: F401
 def _slab_chords(P: OrthoPolygon, s: OrthoSegment):
     """(x0, x1, lo, hi) per open slab of s's span, in s's horizontal frame:
     the chord through s over x0 < x < x1, with lo and hi scaled by two.
-    None when some slab has no chord. Cached on P under s, where
-    grid.prune_dominated has already put every grid track's.
+    None when some slab has no chord. Cached on P under s.
 
     Past s.lo the cuts are consecutive vertex x's, so the slabs lie in
     consecutive columns of P's slab table, starting with the column just
@@ -78,22 +75,16 @@ def _slab_chords(P: OrthoPolygon, s: OrthoSegment):
         cuts = [t.lo, *xs[first:last], t.hi]
         out = None
         if first > 0 and last < len(xs):
-            ivs = [_interval_at(column, Y) for column in gaps[first - 1 : last]]
-            if None not in ivs:
+            # A column's intervals are sorted and disjoint, so the one that
+            # can hold Y is the last to start by Y: the last below (Y + 1,).
+            # With none starting by Y, index -1 wraps to one starting above
+            # Y, which the check rejects.
+            key = (Y + 1,)
+            ivs = [column[bisect_left(column, key) - 1] for column in gaps[first - 1 : last]]
+            if all(lo <= Y <= hi for lo, hi in ivs):
                 out = [(a, b, *iv) for a, b, iv in zip(cuts, cuts[1:], ivs)]
     cache[s] = out
     return out
-
-
-def _cache_slab_chords(P: OrthoPolygon, s: OrthoSegment, los, his) -> None:
-    """Cache what _slab_chords gives for a track s of positive length
-    inside P, from the scaled lo and hi of its chord over each slab of its
-    span, left to right."""
-    cache = P._cache.setdefault("slab_chords", {})
-    if s not in cache:
-        xs = (P.transposed() if s.is_vertical else P).vertex_xs()
-        cuts = [s.lo, *xs[bisect_right(xs, s.lo) : bisect_left(xs, s.hi)], s.hi]
-        cache[s] = list(zip(cuts, cuts[1:], los, his))
 
 
 def _inside_chords(P: OrthoPolygon, s: OrthoSegment):
@@ -114,23 +105,17 @@ def camera_visibility(P: OrthoPolygon, s: OrthoSegment) -> RectilinearRegion:
     The track may be a boundary edge or touch the boundary; it must not be
     degenerate. Raises SegmentNotInside when s is not contained in P.
     """
-    cache = P._cache.setdefault("vis", {})
-    out = cache.get(s)
-    if out is None:
-        # One rect per slab, left to right, with equal neighbours joined:
-        # the canonical form of a horizontal track's visible set.
-        rects = []
-        for x0, x1, lo, hi in _inside_chords(P, s):
-            y0, y1 = lo // 2, hi // 2
-            if rects and rects[-1][2:] == (y0, y1):
-                rects[-1] = (rects[-1][0], x1, y0, y1)
-            else:
-                rects.append((x0, x1, y0, y1))
-        out = RectilinearRegion(tuple(rects))
-        if s.is_vertical:
-            out = out.transposed()
-        cache[s] = out
-    return out
+    # One rect per slab, left to right, with equal neighbours joined: the
+    # canonical form of a horizontal track's visible set.
+    rects = []
+    for x0, x1, lo, hi in _inside_chords(P, s):
+        y0, y1 = lo // 2, hi // 2
+        if rects and rects[-1][2:] == (y0, y1):
+            rects[-1] = (rects[-1][0], x1, y0, y1)
+        else:
+            rects.append((x0, x1, y0, y1))
+    out = RectilinearRegion(tuple(rects))
+    return out.transposed() if s.is_vertical else out
 
 
 def _clearance(P: OrthoPolygon, c: OrthoSegment) -> tuple[int, int] | None:
@@ -163,6 +148,11 @@ def _column_rects(P: OrthoPolygon):
         ]
         P._cache["column_rects"] = out
     return out
+
+
+def polygon_region(P: OrthoPolygon) -> RectilinearRegion:
+    """The closed polygon as a canonical region: its column intervals."""
+    return from_rects(rect for _key, rect in _column_rects(P))
 
 
 def _unseen_rects(P: OrthoPolygon, tracks) -> list[tuple[int, int, int, int]]:

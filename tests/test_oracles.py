@@ -220,8 +220,8 @@ def test_cell_masks_and_first_cover_match_references(corpus_runs):
 
 
 def test_kept_candidates_read_nothing_the_solver_cached(corpus):
-    # The pipeline caches every grid track's slab chords on P. Corrupted,
-    # they must not reach the oracles' candidates or masks.
+    # A solve caches the slab chords of every track it reads on P.
+    # Corrupted, they must not reach the oracles' candidates or masks.
     compared = 0
     for seed, P0 in corpus:
         if not sc.reflex_vertices(P0):
@@ -230,6 +230,7 @@ def test_kept_candidates_read_nothing_the_solver_cached(corpus):
         P = sc.parse_polygon(text)
         sc.run_pipeline(P)
         cache = P._cache["slab_chords"]
+        assert any(chords is not None for chords in cache.values()), seed
         for s, chords in cache.items():
             if chords is not None:
                 Y = 2 * s.anchor
@@ -251,6 +252,7 @@ def test_opt_guarded_cameras_read_nothing_the_solver_cached(corpus):
         P = sc.parse_polygon(text)
         sc.run_pipeline(P)
         cache = P._cache["slab_chords"]
+        assert any(chords is not None for chords in cache.values()), seed
         for s, chords in cache.items():
             if chords is not None:
                 cache[s] = [(a, b, -(10**6), 10**6) for a, b, _lo, _hi in chords]

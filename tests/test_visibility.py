@@ -354,9 +354,10 @@ def test_slab_chords_match_per_slab_point_queries(corpus):
     assert min(found.values()) > 1000, found
 
 
-def test_grid_tracks_slab_chords_come_cached_from_the_chord_table(corpus):
-    # prune_dominated writes every survivor's slab chords from the chord
-    # table; on a fresh parse no other code has filled the cache first.
+def test_a_solve_caches_exactly_the_slab_chords_it_read(corpus):
+    # _slab_chords is the cache's one writer and fills it on first use, so
+    # after a full solve on a fresh parse every cover and patch track is in
+    # it, and every entry is what a fresh polygon's point queries give.
     texts = [sc.format_polygon(P) for _seed, P in corpus]
     texts += [
         sc.format_polygon(sc.generate_polygon(seed, corpus_target(seed)))
@@ -364,16 +365,19 @@ def test_grid_tracks_slab_chords_come_cached_from_the_chord_table(corpus):
     ]
     texts += [sc.format_polygon(sc.generate_polygon(seed, 240)) for seed in range(1, 11)]
     texts.append((Path(__file__).parent / "data" / "generated_2_1600.poly").read_text())
-    entries = 0
+    tracks = entries = 0
     for text in texts:
         P = sc.parse_polygon(text)
-        grid = sc.run_pipeline(P).grid
-        cache = P._cache.get("slab_chords", {})
+        run = sc.run_pipeline(P)
+        sc.pipeline.watched_cover(P, sc.pipeline.checked_cover(run))
+        cache = P._cache["slab_chords"]
+        assert set(run.cover_segments) | set(run.patch_segments) <= cache.keys(), text
         fresh = sc.parse_polygon(text)
-        for s in grid.segments:
-            assert cache[s] == reference_slab_chords(fresh, s), (text, str(s))
-            entries += len(cache[s])
-    assert entries > 30000, entries
+        for s, chords in cache.items():
+            assert chords == reference_slab_chords(fresh, s), (text, str(s))
+            tracks += 1
+            entries += len(chords or ())
+    assert tracks > 3000 and entries > 24000, (tracks, entries)
 
 
 def reference_uncovered(P, cameras):
