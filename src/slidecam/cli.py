@@ -4,8 +4,9 @@ Subcommands: solve a polygon file, generate a random instance, and verify
 the approximation bounds (verify solves once and checks the result against
 the brute-force optima). Exit codes: 0 ok, 1 a bound was violated, 2 bad
 input (or, for gen, a vertex count the generator gave up on), 3 an internal
-check failed, 4 the solver's search exceeded its cap (TooLarge) or, under
-verify --strict, an oracle cap was exceeded.
+check failed or an unexpected exception, printed with its traceback, 4 the
+solver's search exceeded its cap (TooLarge) or, under verify --strict, an
+oracle cap was exceeded.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .errors import ParseError, PolygonError, SlidecamError, TooLarge
@@ -75,8 +77,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    # Only the generator's give-up is bad input; main does not catch
-    # RuntimeError, since a RecursionError in the solver is a bug.
+    # Only the generator's give-up is bad input; any other RuntimeError is
+    # a bug, which main reports as an internal error.
     try:
         P = generate_polygon(args.seed, args.vertices)
     except RuntimeError as e:
@@ -203,6 +205,10 @@ def main(argv=None) -> int:
         return CAP_EXCEEDED
     except (SlidecamError, AssertionError) as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return INTERNAL
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
         return INTERNAL
 
 

@@ -37,22 +37,32 @@ Read row by row from its bottom-right corner, the matrix is
 lexicographically no smaller after each sort, and strictly larger whenever
 anything moved, so the loop ends. The last sort keys stay as the matrix:
 each row is its columns as column-order bits, each column its rows as
-row-order bits. The Γ check and every pass run on those masks. A pass
-keeps the undominated rows as one mask; its next row is the lowest bit
-left, its pick the highest bit of that row's mask within the allowed
-columns, and the pick's column mask clears the rows it dominates. A pass
-stops as soon as it needs more picks than the question allows, so each
-candidate the rebuild tests costs O(picks) big-int steps, not a walk over
-every row.
+row-order bits. The Γ check reads those masks, and every question runs
+on them with one state, the undominated rows as one mask, which a picked
+column's mask clears. A pass picks, for the lowest row left, the highest
+bit of its mask within the allowed columns. It stops as soon as it needs
+more picks than the question allows, so each candidate the rebuild tests
+costs O(picks) big-int steps, not a walk over every row.
 
 Where a Γ remains (an odd cycle, or a bipartite graph that is not chordal,
-reachable only through the public API) the question goes to an exhaustive
-bitmask search on the whole graph, and the size of an optimum comes from
+reachable only through the public API) the same question goes to an
+exhaustive search on the same masks. It branches on the undominated row
+with the fewest allowed columns, and the size of an optimum comes from
 iterative deepening. One optimal_covers call may spend at most
-SEARCH_NODES nodes of that search and raises TooLarge past them.
+SEARCH_NODES nodes of that search and raises TooLarge past them. Deepening
+to size k spends at least k nodes per size, so the budget also keeps the
+search's recursion under about 450 levels.
+
+The rebuild is one loop over a stack of (candidate, state before its
+pick), not a call per pick, so no recursion limit caps an optimum's size.
+Each depth advances to the next candidate that fits; depth k yields, and a
+yield or a dead end backs up one level. A prefix that fits always extends
+to an optimum, so no candidate before the first answer is tried twice.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .errors import TooLarge
 from .grid import IntersectionGraph
@@ -62,48 +72,58 @@ from .grid import IntersectionGraph
 SEARCH_NODES = 100_000
 
 
-def _search(adj: list[int], full: int, left: int, dominated: int, allowed: int, nodes) -> bool:
-    """Can `left` more picks from `allowed` dominate everything in `full`?
-    Each call spends one item of the node budget, the iterator `nodes`."""
+def _search(row_keys, col_keys, undominated: int, allowed: int, left: int, nodes) -> bool:
+    """Can `left` more picks from the columns in `allowed` dominate the rows
+    in `undominated`? Each call spends one item of the node budget, the
+    iterator `nodes`; its depth is at most `left`."""
     if next(nodes, None) is None:
         raise TooLarge("fallback cover search ran out of its node budget")
-    undom = full & ~dominated
-    if undom == 0:
+    if undominated == 0:
         return True
     if left == 0:
         return False
-    # Every missing node needs an allowed neighbor picked eventually; branch
-    # on the one with the fewest options.
-    pick_node = -1
-    pick_cover = -1
-    m = undom
+    # Every undominated row needs an allowed column picked eventually;
+    # branch on the one with the fewest options.
+    fewest = -1
+    m = undominated
     while m:
-        v = (m & -m).bit_length() - 1
-        m &= m - 1
-        cand = adj[v] & allowed
+        low = m & -m
+        m ^= low
+        cand = row_keys[low.bit_length() - 1] & allowed
         if cand == 0:
             return False
         c = bin(cand).count("1")
-        if pick_node < 0 or c < pick_cover:
-            pick_node, pick_cover = v, c
-    cand = adj[pick_node] & allowed
-    while cand:
-        u = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        if _search(adj, full, left - 1, dominated | adj[u], allowed & ~(1 << u), nodes):
+        if fewest < 0 or c < fewest:
+            fewest, options = c, cand
+    while options:
+        low = options & -options
+        options ^= low
+        rows = col_keys[low.bit_length() - 1]
+        if _search(row_keys, col_keys, undominated & ~rows, allowed & ~low, left - 1, nodes):
             return True
     return False
 
 
-def _gamma_free_order(
-    nbrs: dict[int, list[int]],
-) -> tuple[list[int], list[int], dict[int, int], dict[int, int]] | None:
-    """Rows and columns of the domination matrix in a doubly lexical
-    order, with the final sort keys, or None if that order still holds a Γ.
+def _greedy(row_keys, col_keys, undominated: int, allowed: int, left: int) -> int:
+    """Picks from the columns in `allowed` the pass makes to dominate the
+    rows in `undominated`; left + 1 once it needs more than `left`."""
+    count = 0
+    while undominated:
+        cand = row_keys[(undominated & -undominated).bit_length() - 1] & allowed
+        if count == left or not cand:
+            return left + 1
+        undominated &= ~col_keys[cand.bit_length() - 1]
+        count += 1
+    return count
 
-    Returns (rows, cols, row_key, col_key). row_key[v] is v's neighbours as
-    column-order bits (bit p for cols[p]) and col_key[u] is u's neighbours
-    as row-order bits (bit p for rows[p]).
+
+def _doubly_lexical_order(nbrs: dict[int, list[int]]) -> tuple[list, list, dict, dict, bool]:
+    """Rows and columns of the domination matrix in a doubly lexical
+    order, with the final sort keys and whether that order is Γ-free.
+
+    Returns (rows, cols, row_key, col_key, gamma_free). row_key[v] is v's
+    neighbours as column-order bits (bit p for cols[p]) and col_key[u] is
+    u's neighbours as row-order bits (bit p for rows[p]).
     """
 
     def keys(order: list[int]) -> dict[int, int]:
@@ -130,9 +150,9 @@ def _gamma_free_order(
             held ^= low
             b = row_key[rows[low.bit_length() - 1]]
             if (a & ~b) >> (p + 1):
-                return None
+                return rows, cols, row_key, col_key, False
             a = b
-    return rows, cols, row_key, col_key
+    return rows, cols, row_key, col_key, True
 
 
 def optimal_covers(graph: IntersectionGraph):
@@ -158,75 +178,46 @@ def optimal_covers(graph: IntersectionGraph):
     for i, j in graph.edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
-    order = _gamma_free_order(nbrs)
-
-    # The rebuild carries a state (what is still to dominate, in the path's
-    # own bits) and, once rest[t] is picked, may still pick from after[t]:
-    # the nodes rest[t+1:], in the same bits.
-    if order is None:
-        nodes = iter(range(SEARCH_NODES))
-        bit = {v: 1 << v for v in rest}
-        full = sum(bit.values())
-        start = 0
-
-        def take(dominated: int, j: int) -> int:
-            return dominated | adj[j]
-
-        def fits(dominated: int, allowed: int, left: int) -> bool:
-            """Can `left` more picks from `allowed` dominate the rest?"""
-            return _search(adj, full, left, dominated, allowed, nodes)
-
-        k = 0
-        while not fits(start, full, k):
-            k += 1
-    else:
-        # the pass of the module docstring, on row-order and column-order bits
-        rows, cols, row_key, col_key = order
-        bit = {u: 1 << p for p, u in enumerate(cols)}
-        row_keys = [row_key[v] for v in rows]
-        col_keys = [col_key[u] for u in cols]
-        start = (1 << len(rows)) - 1
-
-        def take(undominated: int, j: int) -> int:
-            return undominated & ~col_key[j]
-
-        def greedy(undominated: int, allowed: int, left: int) -> int:
-            """Picks from `allowed` the pass makes to dominate the rows in
-            `undominated`; left + 1 once it needs more than `left`."""
-            count = 0
-            while undominated:
-                cand = row_keys[(undominated & -undominated).bit_length() - 1] & allowed
-                if count == left or not cand:
-                    return left + 1
-                undominated &= ~col_keys[cand.bit_length() - 1]
-                count += 1
-            return count
+    rows, cols, row_key, col_key, gamma_free = _doubly_lexical_order(nbrs)
+    row_keys = [row_key[v] for v in rows]
+    col_keys = [col_key[u] for u in cols]
+    start, everything = (1 << len(rows)) - 1, (1 << len(cols)) - 1
+    if gamma_free:
 
         def fits(undominated: int, allowed: int, left: int) -> bool:
-            """Can `left` more picks from `allowed` dominate the rest?"""
-            return greedy(undominated, allowed, left) <= left
+            return _greedy(row_keys, col_keys, undominated, allowed, left) <= left
 
-        k = greedy(start, (1 << len(cols)) - 1, n)
+        k = _greedy(row_keys, col_keys, start, everything, len(cols))
+    else:
+        fits = partial(_search, row_keys, col_keys, nodes=iter(range(SEARCH_NODES)))
+        k = 0
+        while not fits(start, everything, k):
+            k += 1
 
+    # After picking rest[t], the picks may come from after[t]: the columns
+    # of rest[t+1:]. The walk keeps (t, state before the pick) per pick.
+    col_bit = {u: 1 << p for p, u in enumerate(cols)}
     after = [0] * len(rest)
     for t in range(len(rest) - 1, 0, -1):
-        after[t - 1] = after[t] | bit[rest[t]]
-    picks: list[int] = []
-
-    def emit(state: int, first: int):
-        if len(picks) == k:
-            yield tuple(sorted(isolated + picks))
+        after[t - 1] = after[t] | col_bit[rest[t]]
+    stack: list[tuple[int, int]] = []
+    t, state = 0, start
+    while True:
+        if len(stack) == k:
+            yield tuple(sorted(isolated + [rest[p] for p, _ in stack]))
+            t = len(rest)  # nothing more at this depth: back up
+        left = k - len(stack) - 1
+        while t < len(rest) and not fits(state & ~col_key[rest[t]], after[t], left):
+            t += 1
+        if t < len(rest):
+            stack.append((t, state))
+            state &= ~col_key[rest[t]]
+            t += 1
+        elif stack:
+            t, state = stack.pop()
+            t += 1
+        else:
             return
-        left = k - len(picks) - 1
-        for t in range(first, len(rest)):
-            j = rest[t]
-            nxt = take(state, j)
-            if fits(nxt, after[t], left):
-                picks.append(j)
-                yield from emit(nxt, t + 1)
-                picks.pop()
-
-    yield from emit(start, 0)
 
 
 def minimum_guarded_cover(graph: IntersectionGraph) -> tuple[int, ...]:

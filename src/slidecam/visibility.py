@@ -268,23 +268,22 @@ def camera_guards_camera(
     honored. Intersecting perpendicular tracks always guard each other;
     non-intersecting perpendicular tracks can still guard one way.
     """
-    if guard.is_vertical:
-        return camera_guards_camera(
-            P.transposed(), guard.transposed(), target.transposed()
-        )
-    if target.is_horizontal:
+    if guard.orientation == target.orientation:
         # Parallel tracks: the target's span must sit inside the guard's and
-        # the strip between them inside P, which _clearance decides.
+        # the strip between them inside P, which _clearance decides in
+        # either orientation.
         if target.lo < guard.lo or target.hi > guard.hi:
             return False
         span = _clearance(P, target)
         return span is not None and span[0] <= 2 * guard.anchor <= span[1]
-    # Perpendicular: only points of the target on the guard's x-span can be
-    # seen, so the whole target is seen iff its column crosses the span and
-    # the vertical chord there runs past both the guard and the target.
+    # Perpendicular: only points of the target on the guard's span can be
+    # seen, so the whole target is seen iff its line crosses the span and
+    # the chord along it through the crossing (X, Y) of the two lines runs
+    # past both the guard and the target.
     if not (guard.lo <= target.anchor <= guard.hi):
         return False
-    iv = P.chord_scaled(2 * target.anchor, 2 * guard.anchor, VERTICAL)
+    X, Y = (target.anchor, guard.anchor) if guard.is_horizontal else (guard.anchor, target.anchor)
+    iv = P.chord_scaled(2 * X, 2 * Y, target.orientation)
     if iv is None:
         return False
     lo = 2 * min(guard.anchor, target.lo)

@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 
 import slidecam as sc
+from slidecam.generator import _trace
 
 RECT = [(0, 0), (4, 0), (4, 3), (0, 3)]
 
@@ -54,6 +55,14 @@ def comb_polygon(teeth: int):
         verts += [(2 * i + 1, 1), (2 * i + 1, 3), (2 * i, 3), (2 * i, 1)]
     verts += [(1, 1), (1, 3), (0, 3)]
     return sc.validate_polygon(verts)
+
+
+def serpentine_polygon(rows: int):
+    """A corridor winding up through `rows` rows of four unit cells, joined
+    at alternate ends; 4*rows vertices."""
+    cells = {(x, 2 * r) for x in range(4) for r in range(rows)}
+    cells |= {(3 if r % 2 == 0 else 0, 2 * r + 1) for r in range(rows - 1)}
+    return sc.validate_polygon(_trace(cells))
 
 
 def images(P):

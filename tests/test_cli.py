@@ -190,3 +190,22 @@ def test_failed_internal_checks_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("slidecam.pipeline.camera_guards_camera", lambda P, g, t: False)
     assert main(["verify", str(path)]) == 3
     assert "internal error: " in capsys.readouterr().err
+
+
+def test_unexpected_exceptions_exit_3_with_a_traceback(tmp_path, monkeypatch, capsys):
+    # Exit 1 means a bound was violated; a bug must not read as one.
+    def boom(P):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("slidecam.cli.run_pipeline", boom)
+    assert main(["solve", str(write_poly(tmp_path, EAR))]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:\n")
+    assert "Traceback" in captured.err and "RecursionError" in captured.err
+
+
+def test_solve_the_thousand_track_serpentine(capsys):
+    path = Path(__file__).parent / "data" / "serpentine_4000.poly"
+    assert main(["solve", str(path), "--check"]) == 0
+    assert capsys.readouterr().out.endswith("coverage: ok\n")

@@ -12,7 +12,7 @@ import pytest
 
 import brute
 import slidecam as sc
-from slidecam.guarded_cover import _gamma_free_order, _search
+from slidecam.guarded_cover import _doubly_lexical_order, _search
 
 
 def graph_of(n, edges):
@@ -175,7 +175,7 @@ def neighbor_lists(graph):
 def takes_greedy_path(graph):
     """Whether optimal_covers answers `graph` by the greedy pass rather
     than by `_search`: its domination matrix has a Γ-free order."""
-    return _gamma_free_order(neighbor_lists(graph)) is not None
+    return _doubly_lexical_order(neighbor_lists(graph))[4]
 
 
 def test_optima_enumeration_matches_brute_on_bipartite_graphs():
@@ -232,26 +232,35 @@ def reference_covers(graph):
     n = graph.n
     adj = graph.neighbor_masks()
     isolated = [v for v in range(n) if adj[v] == 0]
-    full = sum(1 << v for v in range(n) if adj[v])
+    rest = [v for v in range(n) if adj[v]]
+    rows, cols, row_key, col_key, _ = _doubly_lexical_order(neighbor_lists(graph))
+    row_keys = [row_key[v] for v in rows]
+    col_keys = [col_key[u] for u in cols]
+    col_bit = {u: 1 << p for p, u in enumerate(cols)}
+    # the columns of the nodes after rest[t]
+    later = [sum(col_bit[u] for u in rest[t + 1 :]) for t in range(len(rest))]
+    full = (1 << len(rows)) - 1
+
+    def fits(undominated, allowed, left):
+        return _search(row_keys, col_keys, undominated, allowed, left, count())
+
     k = 0
-    while not _search(adj, full, k, 0, full, count()):
+    while not fits(full, (1 << len(cols)) - 1, k):
         k += 1
     picks = []
 
-    def emit(dominated, allowed):
+    def emit(undominated, first):
         if len(picks) == k:
             yield tuple(sorted(isolated + picks))
             return
-        for j in range(n):
-            if not (allowed >> j) & 1:
-                continue
-            nxt_allowed = allowed & ~((1 << (j + 1)) - 1)
-            if _search(adj, full, k - len(picks) - 1, dominated | adj[j], nxt_allowed, count()):
-                picks.append(j)
-                yield from emit(dominated | adj[j], nxt_allowed)
+        for t in range(first, len(rest)):
+            nxt = undominated & ~col_key[rest[t]]
+            if fits(nxt, later[t], k - len(picks) - 1):
+                picks.append(rest[t])
+                yield from emit(nxt, t + 1)
                 picks.pop()
 
-    return k, emit(0, full)
+    return k, emit(full, 0)
 
 
 def grid_graph(P):
@@ -276,7 +285,7 @@ def per_row_greedy_covers(graph):
     rest = [v for v in range(n) if adj[v]]
     full = sum(1 << v for v in rest)
     nbrs = neighbor_lists(graph)
-    rows, cols = _gamma_free_order(nbrs)[:2]
+    rows, cols = _doubly_lexical_order(nbrs)[:2]
     col_pos = {u: p for p, u in enumerate(cols)}
     choices = {v: sorted(nbrs[v], key=col_pos.__getitem__, reverse=True) for v in rest}
 
@@ -410,7 +419,7 @@ def test_pipeline_cover_certified_by_a_packing(seed, n):
     adj = g.neighbor_masks()
     assert sc.is_guarded_cover(g, run.chosen)
     nbrs = neighbor_lists(g)
-    rows, cols = _gamma_free_order(nbrs)[:2]
+    rows, cols = _doubly_lexical_order(nbrs)[:2]
     col_pos = {u: p for p, u in enumerate(cols)}
     # the targets where the greedy pass picks
     packing = []

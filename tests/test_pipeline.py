@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import slidecam as sc
-from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, comb_polygon, corpus_target, images
+from conftest import (
+    EAR, LSHAPE, PLUS, RECT, STAIR2, comb_polygon, corpus_target, images, serpentine_polygon
+)
 
 H = sc.OrthoSegment.horizontal
 V = sc.OrthoSegment.vertical
@@ -196,6 +198,16 @@ def test_camera_cover_covers_the_large_walk_failures(name):
     assert sc.guarded_camera_cover(P).cameras == found.cameras
 
 
+def test_both_covers_of_a_thousand_track_serpentine():
+    # The grid optimum is rebuilt one pick at a time; 1,000 picks must not
+    # meet Python's recursion limit.
+    P = sc.parse_polygon((DATA / "serpentine_4000.poly").read_text())
+    assert P.vertices == serpentine_polygon(1000).vertices
+    for found in (sc.camera_cover(P), sc.guarded_camera_cover(P)):
+        assert len(found.cameras) == 1000
+        assert sc.covers_polygon(P, found.cameras)
+
+
 # (file, opt_cameras, opt_guarded_cameras). The 124-vertex polygon's optima
 # come from the oracles with cap=27, which take about 18 s there for the
 # guarded one; test_oracles_on_the_non_staircase_fixture checks the other.
@@ -291,8 +303,7 @@ def test_ladder_covers_are_pinned(n):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 14: transposed twins cache each other, and "
-    "optimal_covers' recursive emit closes over itself",
+    reason="ROADMAP item 14: transposed twins cache each other",
 )
 def test_a_solve_leaves_no_cyclic_garbage():
     # Everything a solve builds should be freed by reference counting, so

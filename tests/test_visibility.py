@@ -224,6 +224,15 @@ def test_parallel_guarding_of_a_track_leaving_the_polygon():
     assert not sc.camera_guards_camera(P, V(0, 0, 4), V(3, 0, 4))
 
 
+def test_guarding_vertical_tracks_caches_nothing_on_the_transpose():
+    # Vertical tracks are asked in P's own frame, so their slab chords are
+    # cached on P alone, not a second time on its transposed twin.
+    for seed in range(1, 11):
+        P = sc.parse_polygon(sc.format_polygon(sc.generate_polygon(seed, 240)))
+        sc.guarded_camera_cover(P)
+        assert "slab_chords" not in P.transposed()._cache, seed
+
+
 def outcome(f, *args):
     """f's result, or the class of the error it raised."""
     try:
