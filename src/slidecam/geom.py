@@ -114,8 +114,8 @@ class OrthoPolygon:
 
     Instances are immutable by convention and should be built through
     validate_polygon; the constructor trusts its input. Derived structures
-    (edge list, slab tables, the transposed twin) are cached lazily because
-    the same polygon is queried many times during a solve.
+    (edge list, column and row tables, all from P's own vertices) are
+    cached lazily because the same polygon is queried many times.
     """
 
     __slots__ = ("vertices", "_cache")
@@ -155,46 +155,40 @@ class OrthoPolygon:
             self._cache["bbox"] = out
         return out
 
-    def vertex_xs(self) -> list[int]:
-        out = self._cache.get("xs")
-        if out is None:
-            out = sorted({v.x for v in self.vertices})
-            self._cache["xs"] = out
-        return out
-
     def transposed(self) -> "OrthoPolygon":
-        """Mirror across the main diagonal (x and y swapped), still CCW."""
-        out = self._cache.get("transposed")
-        if out is None:
-            swapped = [Point(v.y, v.x) for v in self.vertices]
-            out = OrthoPolygon([swapped[0]] + swapped[1:][::-1])
-            out._cache["transposed"] = self
-            self._cache["transposed"] = out
-        return out
+        """Mirror across the main diagonal (x and y swapped), still CCW.
+        A fresh polygon, cached on neither side."""
+        swapped = [Point(v.y, v.x) for v in self.vertices]
+        return OrthoPolygon([swapped[0]] + swapped[1:][::-1])
 
     # -- slab tables (scaled coordinates) ----------------------------------
 
-    def _columns(self):
-        """Per-column interval tables of the closed region, scaled by two.
+    def _sections(self, orientation: str):
+        """The cross-sections a track of `orientation` sees along, scaled by
+        two: P's columns for HORIZONTAL, P's rows for VERTICAL.
 
-        Returns (XS, gaps, events). XS is the sorted list of scaled vertex
-        x-coordinates. gaps[i] holds the closed y-intervals of the region on
-        any vertical line strictly between XS[i] and XS[i+1]; events[i] holds
-        them on the line x = XS[i] itself (the union of the closures of both
-        adjacent gaps, which is exactly the closed region on that line).
+        Returns (XS, gaps, events) in the track's horizontal frame, where x
+        runs along the track and y across it. XS is the sorted list of
+        scaled vertex x-coordinates. gaps[i] holds the closed y-intervals of
+        the region on any line x = X strictly between XS[i] and XS[i+1];
+        events[i] holds them on the line x = XS[i] itself (the union of the
+        closures of both adjacent gaps, which is exactly the closed region
+        on that line). Cached on P, one table per orientation.
         """
-        out = self._cache.get("columns")
+        key = "columns" if orientation == HORIZONTAL else "rows"
+        out = self._cache.get(key)
         if out is not None:
             return out
-        XS = [2 * x for x in self.vertex_xs()]
-        # A horizontal edge's y toggles in and out of the crossing set at its
-        # end x's, and every vertex ends exactly one horizontal edge, so the
-        # toggles at X are the y's of the vertices on x = X/2. Validation
-        # keeps two horizontal edges at one y from touching, so no column
-        # crosses both and toggling is exact.
-        toggles: dict[int, list[int]] = {X: [] for X in XS}
+        # In this frame a horizontal edge's y toggles in and out of the
+        # crossing set at its end x's, and every vertex ends exactly one
+        # horizontal edge, so the toggles at X are the y's of the vertices
+        # on x = X/2. Validation keeps two horizontal edges at one y from
+        # touching, so no line crosses both and toggling is exact.
+        toggles: dict[int, list[int]] = {}
         for v in self.vertices:
-            toggles[2 * v.x].append(2 * v.y)
+            x, y = (v.x, v.y) if orientation == HORIZONTAL else (v.y, v.x)
+            toggles.setdefault(2 * x, []).append(2 * y)
+        XS = sorted(toggles)
         crossing: set[int] = set()
         gaps = []
         for X in XS[:-1]:
@@ -207,35 +201,39 @@ class OrthoPolygon:
             for left, right in zip(padded, padded[1:])
         ]
         out = (XS, gaps, events)
-        self._cache["columns"] = out
+        self._cache[key] = out
         return out
 
-    def _line_intervals(self, X: int):
-        """Closed y-intervals of the region on the vertical line x = X/2."""
-        XS, gaps, events = self._columns()
+    def _line_intervals(self, orientation: str, X: int):
+        """Closed intervals of the region on the line x = X/2 of the frame
+        of _sections(orientation)."""
+        XS, gaps, events = self._sections(orientation)
         if X < XS[0] or X > XS[-1]:
             return ()
         i = bisect_left(XS, X)
-        if i < len(XS) and XS[i] == X:
+        if XS[i] == X:
             return events[i]
         return gaps[i - 1]
 
     def chord_scaled(self, X: int, Y: int, orientation: str):
         """Maximal inside interval through (X/2, Y/2), or None if outside.
 
-        For VERTICAL the returned (lo, hi) is a y-range, for HORIZONTAL an
-        x-range, both scaled by two.
+        For VERTICAL the returned (lo, hi) is a y-range off P's columns, for
+        HORIZONTAL an x-range off its rows, both scaled by two.
         """
         if orientation == HORIZONTAL:
-            return self.transposed().chord_scaled(Y, X, VERTICAL)
-        return _interval_at(self._line_intervals(X), Y)
+            return _interval_at(self._line_intervals(VERTICAL, Y), X)
+        return _interval_at(self._line_intervals(HORIZONTAL, X), Y)
 
 
 def _interval_at(intervals, Y: int):
-    """The interval of a sorted, disjoint closed stack holding Y, or None."""
-    for lo, hi in intervals:
-        if Y <= hi:
-            return (lo, hi) if lo <= Y else None
+    """The interval of a sorted, disjoint closed stack holding Y, or None.
+
+    Only the last to start by Y, the last below (Y + 1,), can hold it. With
+    none starting by Y that index is -1, which must not wrap to the top."""
+    i = bisect_left(intervals, (Y + 1,)) - 1
+    if i >= 0 and Y <= intervals[i][1]:
+        return intervals[i]
     return None
 
 

@@ -19,12 +19,13 @@ anchor against c's clearance (visibility._clearance): the common part of
 c's per-slab chords.
 
 Chords, origins and clearances come from one table per orientation, read
-straight off P's two column tables with no point query. A reflex vertex
-lies on an event line of one table, so its chord is the interval of that
-line holding it, and the chord's clearance is read off the other table's
-columns over its span. The prune then compares the table's rows by index
-and builds no segment. The later phases read a grid track's own per-slab
-chords through visibility._slab_chords, which fills its cache on first use.
+straight off P's column and row tables with no point query. A reflex
+vertex lies on an event line of one table, so its chord is the interval of
+that line holding it, and the chord's clearance is read off the other
+table's sections over its span. The prune then compares the table's rows
+by index and builds no segment. The later phases read a grid track's own
+per-slab chords through visibility._slab_chords, which fills its cache on
+first use.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .geom import (
     OrthoPolygon,
     OrthoSegment,
     Point,
+    _interval_at,
     _touching_pairs,
     contains_point,
     reflex_vertices,
@@ -105,46 +107,43 @@ def _chord_table(P: OrthoPolygon):
     out = P._cache.get("chord_table")
     if out is None:
         reflex = reflex_vertices(P)
-        T = P.transposed()
         out = (
-            _frame_chords(T, HORIZONTAL, sorted((v.y, v.x, v) for v in reflex)),
+            _frame_chords(P, HORIZONTAL, sorted((v.y, v.x, v) for v in reflex)),
             _frame_chords(P, VERTICAL, sorted((v.x, v.y, v) for v in reflex)),
         )
         P._cache["chord_table"] = out
     return out
 
 
-def _frame_chords(Q: OrthoPolygon, orientation: str, points):
-    """The vertical chords of Q through points, (x, y, origin) triples
-    sorted by (x, y) in Q's frame, as a _chord_table table whose segments
-    take `orientation`.
+def _frame_chords(P: OrthoPolygon, orientation: str, points):
+    """The chords of P of `orientation` through points, (anchor, along,
+    origin) triples sorted, as a _chord_table table.
 
-    A reflex vertex lies on an event line of Q's column table, so its
-    chord is the interval of that line's stack holding it. Its clearance
-    comes off the columns of Q's transpose: over each open slab of the
-    chord's span, the interval holding the chord's line. Points of one
-    chord are consecutive, so each chord is read once.
+    A chord lies on an event line of the sections that perpendicular
+    tracks see along (P's columns for a vertical chord, its rows for a
+    horizontal one), so a reflex vertex's chord is the interval of that
+    line holding it. Its clearance comes off the sections of its own
+    orientation: over each open slab of the chord's span, the interval
+    holding the chord's line. Points of one chord are consecutive, so each
+    chord is read once.
     """
-    XS, _gaps, events = Q._columns()
-    YS, gaps, _events = Q.transposed()._columns()
+    across = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
+    XS, _gaps, events = P._sections(across)
+    YS, gaps, _events = P._sections(orientation)
     segments, origins, clearances = [], [], []
     last = None
     for x, y, v in points:
-        # A column's intervals are sorted and disjoint, so the one holding
-        # a coordinate Z is the last to start by Z: the last below (Z + 1,).
         X = 2 * x
-        column = events[bisect_left(XS, X)]
-        lo, hi = column[bisect_left(column, (2 * y + 1,)) - 1]
+        lo, hi = _interval_at(events[bisect_left(XS, X)], 2 * y)
         if last == (x, lo):
             origins[-1].append(v)
             continue
         last = (x, lo)
         # The chord ends on vertex coordinates, so its slabs are the
-        # columns from its lo's up to its hi's.
+        # sections from its lo's up to its hi's.
         first = bisect_left(YS, lo)
         slabs = gaps[first : bisect_left(YS, hi, first)]
-        key = (X + 1,)
-        los, his = zip(*[column[bisect_left(column, key) - 1] for column in slabs])
+        los, his = zip(*[_interval_at(column, X) for column in slabs])
         segments.append(OrthoSegment(orientation, x, lo // 2, hi // 2))
         origins.append([v])
         clearances.append((max(los), min(his)))

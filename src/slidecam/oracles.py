@@ -4,8 +4,8 @@ These are the ground truth the approximation bounds are tested against.
 They deliberately avoid the solver modules' search code: candidate pruning
 is redone here with bitmask subset tests over an exact cell decomposition,
 and optima come from plain subset enumeration in increasing cardinality.
-Each candidate's visible set is read as rects straight off P's column
-tables (_track_rects), and so is which candidates watch which
+Each candidate's visible set is read as rects straight off P's column and
+row tables (_track_rects), and so is which candidates watch which
 (_watch_masks), never off a cache the solver fills. One rasteriser
 (_CellMasks, one big-int multiply per rect on a column-major cell
 numbering) turns the target and every tool into bitmasks, and one
@@ -91,7 +91,7 @@ class _CellMasks:
 
 def _polygon_rects(P: OrthoPolygon):
     """P as one rect per interval of each column of its slab table."""
-    XS, gaps, _events = P._columns()
+    XS, gaps, _events = P._sections(HORIZONTAL)
     return [
         (XS[k] // 2, XS[k + 1] // 2, lo // 2, hi // 2)
         for k, column in enumerate(gaps)
@@ -103,15 +103,14 @@ def _track_rects(P: OrthoPolygon, s: OrthoSegment):
     """What a camera on the track s sees, as rects in P's frame.
 
     Over each slab of s's span the camera sees exactly the interval of that
-    column of P that holds s's line, so the rects are read straight off P's
-    column table, or off its transpose's with the axes swapped back for a
-    vertical s. s must lie inside P.
+    section of P that holds s's line, so the rects are read straight off
+    P's column table for a horizontal s, or off its row table with the
+    axes swapped back for a vertical s. s must lie inside P.
     """
-    Q, t = (P.transposed(), s.transposed()) if s.is_vertical else (P, s)
-    xs, gaps = Q.vertex_xs(), Q._columns()[1]
-    first, last = bisect_right(xs, t.lo), bisect_left(xs, t.hi)
-    cuts = [t.lo, *xs[first:last], t.hi]
-    Y = 2 * t.anchor
+    XS, gaps, _events = P._sections(s.orientation)
+    first, last = bisect_right(XS, 2 * s.lo), bisect_left(XS, 2 * s.hi)
+    cuts = [s.lo, *(X // 2 for X in XS[first:last]), s.hi]
+    Y = 2 * s.anchor
     rects = []
     for a, b, column in zip(cuts, cuts[1:], gaps[first - 1 : last]):
         lo, hi = _interval_at(column, Y)
@@ -130,8 +129,8 @@ def _watch_masks(P: OrthoPolygon, segments):
     t's line: the rects of _track_rects(P, t). A perpendicular track g sees
     all of t exactly when g's span holds t's line and the chord along t's
     line through the crossing of the two lines holds that crossing and all
-    of t. Both read P's column tables, never the slab chords the solver
-    caches.
+    of t. Both read P's column and row tables, never the slab chords the
+    solver caches.
     """
     clearance = []
     for t in segments:
@@ -167,9 +166,9 @@ def _kept_candidates(P: OrthoPolygon, cap: int):
     Returns (segments, masks, full) where segments are the maximal reflex
     chords surviving same-orientation coverage containment (ties keep the
     lexicographically smallest) and masks are their coverage bitmasks over
-    the polygon's cells, each chord's read off P's column tables by
-    _track_rects: no visible set is built and nothing the solver cached is
-    read. Containment across orientations is deliberately not pruned,
+    the polygon's cells, each chord's read off P's column and row tables
+    by _track_rects: no visible set is built and nothing the solver cached
+    is read. Containment across orientations is deliberately not pruned,
     matching the grid the pipeline covers.
     The result is cached on P; raises TooLarge past `cap` segments.
     """

@@ -171,7 +171,8 @@ def watched_cover(P: OrthoPolygon, found: GuardSet, allow_self_guard=False) -> G
     if len(found.cameras) == 1:
         k = 1 if allow_self_guard else 2
         return GuardSet(found.cameras * k, found.provenance * k, found.stats)
-    cover = {c for c, p in zip(found.cameras, found.provenance) if p == FROM_S}
+    # In camera order, so the work done is the same in every process.
+    cover = [c for c, p in zip(found.cameras, found.provenance) if p == FROM_S]
     for cam in found.cameras:
         if not any(g != cam and camera_guards_camera(P, g, cam) for g in cover):
             raise GuardednessViolation(f"no cover track watches {cam}")

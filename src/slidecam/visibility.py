@@ -7,20 +7,21 @@ P (an open slab between consecutive vertex x's) P's cross-section is fixed,
 so a horizontal track sees, within its span, exactly the whole column
 interval that holds its line. Those slab chords are the primitive:
 _slab_chords reads them off P's column table, _clearance takes their common
-part, and guards_entirely reads them directly. Vertical tracks work
-transposed. The grid prune reads the same common part for every reflex
-chord at once, in grid._chord_table, straight off the column tables, and
-camera_guards_camera uses _clearance for one parallel pair at a time.
+part, and guards_entirely reads them directly. Vertical tracks work the
+same way on P's row table, with the axes swapped. The grid prune reads the
+same common part for every reflex chord at once, in grid._chord_table,
+straight off the two tables, and camera_guards_camera uses _clearance for
+one parallel pair at a time.
 _slab_chords alone fills its cache on P, for any track on first use.
 
 The solve path builds no visible set and runs no region algebra.
 uncovered_region (behind covers_polygon and critical_regions) marks the
 column intervals that some horizontal track crosses whole, cuts the spans
 of tracks that end inside a column from the intervals they hit, and keeps
-every other interval unseen. Vertical tracks do the same on the transposed
-table, that is on P's rows. An unseen column piece can meet an unseen row
-piece only inside one cell between consecutive vertex lines, so the two
-leftovers are met row by row and canonicalised once.
+every other interval unseen. Vertical tracks do the same on P's rows. An
+unseen column piece can meet an unseen row piece only inside one cell
+between consecutive vertex lines, so the two leftovers are met row by row
+and canonicalised once.
 camera_visibility, visible_union, dominates and polygon_region build
 regions, for callers and tests that want them.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 
 from .errors import SegmentNotInside
-from .geom import VERTICAL, OrthoPolygon, OrthoSegment
+from .geom import HORIZONTAL, VERTICAL, OrthoPolygon, OrthoSegment, _interval_at
 from .region import (
     EMPTY_REGION,
     RectilinearRegion,
@@ -54,34 +55,29 @@ def _slab_chords(P: OrthoPolygon, s: OrthoSegment):
     the chord through s over x0 < x < x1, with lo and hi scaled by two.
     None when some slab has no chord. Cached on P under s.
 
-    Past s.lo the cuts are consecutive vertex x's, so the slabs lie in
-    consecutive columns of P's slab table, starting with the column just
-    right of s.lo, and each slab's chord is read off its column's
-    intervals. A track reaching past P's first or last x has a slab in no
-    column, and so no chord there.
+    s's anchor, lo and hi mean the same in either frame, so s is read as it
+    is against P's sections for its orientation (P._sections). Past s.lo the
+    cuts are consecutive vertex coordinates, so the slabs lie in consecutive
+    sections, starting just past s.lo, and each slab's chord is the interval
+    of its section holding s's line. A track reaching past P's first or last
+    coordinate has a slab in no section, and so no chord there.
     """
     cache = P._cache.setdefault("slab_chords", {})
     if s in cache:
         return cache[s]
-    Q, t = (P.transposed(), s.transposed()) if s.is_vertical else (P, s)
-    Y = 2 * t.anchor
-    if t.is_degenerate:
-        # One slab of zero width: the chord on the line x = t.lo itself.
-        iv = Q.chord_scaled(2 * t.lo, Y, VERTICAL)
-        out = None if iv is None else [(t.lo, t.hi, *iv)]
+    Y = 2 * s.anchor
+    if s.is_degenerate:
+        # One slab of zero width: the chord on the line x = s.lo itself.
+        iv = _interval_at(P._line_intervals(s.orientation, 2 * s.lo), Y)
+        out = None if iv is None else [(s.lo, s.hi, *iv)]
     else:
-        xs, gaps = Q.vertex_xs(), Q._columns()[1]
-        first, last = bisect_right(xs, t.lo), bisect_left(xs, t.hi)
-        cuts = [t.lo, *xs[first:last], t.hi]
+        XS, gaps, _events = P._sections(s.orientation)
+        first, last = bisect_right(XS, 2 * s.lo), bisect_left(XS, 2 * s.hi)
+        cuts = [s.lo, *(X // 2 for X in XS[first:last]), s.hi]
         out = None
-        if first > 0 and last < len(xs):
-            # A column's intervals are sorted and disjoint, so the one that
-            # can hold Y is the last to start by Y: the last below (Y + 1,).
-            # With none starting by Y, index -1 wraps to one starting above
-            # Y, which the check rejects.
-            key = (Y + 1,)
-            ivs = [column[bisect_left(column, key) - 1] for column in gaps[first - 1 : last]]
-            if all(lo <= Y <= hi for lo, hi in ivs):
+        if first > 0 and last < len(XS):
+            ivs = [_interval_at(column, Y) for column in gaps[first - 1 : last]]
+            if None not in ivs:
                 out = [(a, b, *iv) for a, b, iv in zip(cuts, cuts[1:], ivs)]
     cache[s] = out
     return out
@@ -134,52 +130,55 @@ def visible_union(P: OrthoPolygon, segments) -> RectilinearRegion:
     return region_union_all(camera_visibility(P, s) for s in segments)
 
 
-def _column_rects(P: OrthoPolygon):
-    """((k, y_lo), rect) per column interval of P, column by column and up
-    each column: k is the column's index, y_lo the interval's scaled floor,
-    and rect the interval as a closed rect in P's frame. Cached on P."""
-    out = P._cache.get("column_rects")
+def _section_rects(P: OrthoPolygon, orientation: str):
+    """((k, y_lo), rect) per interval of P's sections for tracks of
+    `orientation` (P._sections), section by section and up each section:
+    k is the section's index, y_lo the interval's scaled floor, and rect
+    the interval as a closed rect in that frame. Cached on P."""
+    key = "column_rects" if orientation == HORIZONTAL else "row_rects"
+    out = P._cache.get(key)
     if out is None:
-        xs, gaps = P.vertex_xs(), P._columns()[1]
+        XS, gaps, _events = P._sections(orientation)
         out = [
-            ((k, y_lo), (xs[k], xs[k + 1], y_lo // 2, y_hi // 2))
+            ((k, y_lo), (XS[k] // 2, XS[k + 1] // 2, y_lo // 2, y_hi // 2))
             for k, column in enumerate(gaps)
             for y_lo, y_hi in column
         ]
-        P._cache["column_rects"] = out
+        P._cache[key] = out
     return out
 
 
 def polygon_region(P: OrthoPolygon) -> RectilinearRegion:
     """The closed polygon as a canonical region: its column intervals."""
-    return from_rects(rect for _key, rect in _column_rects(P))
+    return from_rects(rect for _key, rect in _section_rects(P, HORIZONTAL))
 
 
-def _unseen_rects(P: OrthoPolygon, tracks) -> list[tuple[int, int, int, int]]:
-    """Rects of P, in P's frame, that no listed horizontal track sees.
+def _unseen_rects(P: OrthoPolygon, orientation: str, tracks) -> list[tuple[int, int, int, int]]:
+    """Rects of P, in the horizontal frame of tracks of `orientation`, that
+    no listed track of that orientation sees.
 
-    tracks holds (lo, chords) per track, chords as _slab_chords gives them
-    in P's frame: the chord over the slab in P's column k is the interval of
-    that column holding the track's line, cut to the track's span. So a
-    track sees whole every column interval it crosses, and only where it
-    ends inside a column does it see part of one. Intervals that no track
-    crosses but some track ends in keep their x-range minus the spans that
-    hit them, found by one walk up those spans sorted; the others are seen
-    whole or not at all.
+    tracks holds (lo, chords) per track, chords as _slab_chords gives them:
+    the chord over the slab in section k is the interval of that section
+    holding the track's line, cut to the track's span. So a track sees
+    whole every section interval it crosses, and only where it ends inside
+    a section does it see part of one. Intervals that no track crosses but
+    some track ends in keep their x-range minus the spans that hit them,
+    found by one walk up those spans sorted; the others are seen whole or
+    not at all.
     """
-    xs = P.vertex_xs()
+    XS = P._sections(orientation)[0]
     whole: set[tuple[int, int]] = set()
     partial: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for lo, chords in tracks:
-        k = bisect_right(xs, lo) - 1
+        k = bisect_right(XS, 2 * lo) - 1
         for a, b, y_lo, _ in chords:
-            if a == xs[k] and b == xs[k + 1]:
+            if 2 * a == XS[k] and 2 * b == XS[k + 1]:
                 whole.add((k, y_lo))
             else:
                 partial.setdefault((k, y_lo), []).append((a, b))
             k += 1
     rects = []
-    for key, rect in _column_rects(P):
+    for key, rect in _section_rects(P, orientation):
         if key in whole:
             continue
         spans = partial.get(key)
@@ -199,31 +198,30 @@ def _unseen_rects(P: OrthoPolygon, tracks) -> list[tuple[int, int, int, int]]:
 def uncovered_region(P: OrthoPolygon, cameras) -> RectilinearRegion:
     """Part of the polygon no listed camera sees (regularized).
 
-    Built from P's two column tables, with no visible set and no region
-    algebra: what the horizontal tracks leave unseen of each column interval
-    of P, met with what the vertical tracks leave unseen of each column
-    interval of P's transpose, that is of each row interval of P. A column
-    piece and a row piece can only meet inside one cell of P's grid of
-    vertex lines, so each column piece is met, row by row, with the row
-    pieces of the rows it spans, and the pieces are canonicalised once.
+    Built from P's column and row tables, with no visible set and no
+    region algebra: what the horizontal tracks leave unseen of each column
+    interval of P, met with what the vertical tracks leave unseen of each
+    row interval of P. A column piece and a row piece can only meet inside
+    one cell of P's grid of vertex lines, so each column piece is met, row
+    by row, with the row pieces of the rows it spans, and the pieces are
+    canonicalised once.
     Empty as soon as either side leaves nothing unseen. Raises like
     camera_visibility for the first bad track in input order.
     """
     chords = [(s, _inside_chords(P, s)) for s in cameras]
-    unseen_h = _unseen_rects(P, [(s.lo, ch) for s, ch in chords if s.is_horizontal])
+    unseen_h = _unseen_rects(P, HORIZONTAL, [(s.lo, ch) for s, ch in chords if s.is_horizontal])
     if not unseen_h:
         return EMPTY_REGION
-    Q = P.transposed()
-    unseen_v = _unseen_rects(Q, [(s.lo, ch) for s, ch in chords if s.is_vertical])
+    unseen_v = _unseen_rects(P, VERTICAL, [(s.lo, ch) for s, ch in chords if s.is_vertical])
     if not unseen_v:
         return EMPTY_REGION
-    ys = Q.vertex_xs()
-    rows: list[list[tuple[int, int, int, int]]] = [[] for _ in ys[1:]]
+    YS = P._sections(VERTICAL)[0]
+    rows: list[list[tuple[int, int, int, int]]] = [[] for _ in YS[1:]]
     for y0, y1, x0, x1 in unseen_v:
-        rows[bisect_right(ys, y0) - 1].append((x0, x1, y0, y1))
+        rows[bisect_right(YS, 2 * y0) - 1].append((x0, x1, y0, y1))
     pieces = []
     for x0, x1, y0, y1 in unseen_h:
-        for row in rows[bisect_left(ys, y0) : bisect_left(ys, y1)]:
+        for row in rows[bisect_left(YS, 2 * y0) : bisect_left(YS, 2 * y1)]:
             for u0, u1, v0, v1 in row:
                 if u0 < x1 and x0 < u1:
                     pieces.append((max(x0, u0), min(x1, u1), v0, v1))

@@ -347,8 +347,8 @@ def test_max_chord_matches_edge_scan_reference():
 
 
 def reference_columns(P):
-    """_columns by rescanning every horizontal edge for each column."""
-    XS = [2 * x for x in P.vertex_xs()]
+    """P's column table by rescanning every horizontal edge for each column."""
+    XS = sorted({2 * v.x for v in P.vertices})
     hedges = [
         (2 * a.y, 2 * min(a.x, b.x), 2 * max(a.x, b.x)) for a, b in P.edges() if a.y == b.y
     ]
@@ -370,8 +370,42 @@ def test_columns_match_rescan_reference(corpus):
     polygons += [sc.generate_polygon(s, 240) for s in (1, 2)]
     polygons += [sc.validate_polygon(v) for v in NAMED.values()]
     for P in polygons:
-        for Q in (P, P.transposed()):
-            assert Q._columns() == reference_columns(Q), Q
+        T = P.transposed()
+        # P's rows are its transpose's columns, built off P's own vertices.
+        for table, Q in (
+            (P._sections(sc.HORIZONTAL), P),
+            (T._sections(sc.HORIZONTAL), T),
+            (P._sections(sc.VERTICAL), T),
+        ):
+            assert table == reference_columns(Q), Q
+
+
+def test_interval_at_matches_a_linear_scan():
+    # Random sorted, disjoint closed stacks, single points included, probed
+    # at every coordinate from below the first interval to above the last.
+    rng = random.Random(27)
+    kinds = Counter()
+    for _ in range(3000):
+        stack, y = [], rng.randrange(-5, 5)
+        for _k in range(rng.randrange(0, 6)):
+            lo = y + rng.randrange(1, 4)
+            y = lo + rng.randrange(0, 4)
+            stack.append((lo, y))
+        stack = tuple(stack)
+        for Y in range(-6, y + 3):
+            want = next(((lo, hi) for lo, hi in stack if lo <= Y <= hi), None)
+            assert sc.geom._interval_at(stack, Y) == want, (stack, Y)
+            if not stack:
+                kinds["empty"] += 1
+            elif Y < stack[0][0]:
+                kinds["below"] += 1
+            elif Y > stack[-1][1]:
+                kinds["above"] += 1
+            elif want is None:
+                kinds["gap"] += 1
+            else:
+                kinds["endpoint" if Y in want else "inside"] += 1
+    assert set(kinds) == {"empty", "below", "above", "gap", "endpoint", "inside"}, kinds
 
 
 def test_segment_basics():

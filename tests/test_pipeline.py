@@ -2,11 +2,15 @@
 
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import slidecam as sc
+from slidecam import cli
 from conftest import (
     EAR, LSHAPE, PLUS, RECT, STAIR2, comb_polygon, corpus_target, images, serpentine_polygon
 )
@@ -208,6 +212,46 @@ def test_both_covers_of_a_thousand_track_serpentine():
         assert sc.covers_polygon(P, found.cameras)
 
 
+# Counts watched_cover's guarding checks in a fresh interpreter.
+COUNT_GUARD_CHECKS = """
+import sys
+from pathlib import Path
+
+import slidecam as sc
+from slidecam import pipeline
+
+calls = 0
+guards = pipeline.camera_guards_camera
+
+
+def counted(*args):
+    global calls
+    calls += 1
+    return guards(*args)
+
+
+pipeline.camera_guards_camera = counted
+sc.guarded_camera_cover(sc.parse_polygon(Path(sys.argv[1]).read_text()))
+print(calls)
+"""
+
+
+def test_guarding_checks_do_not_depend_on_string_hashing():
+    # Work counts are compared between runs, so the order watched_cover
+    # tries its cover tracks in must not come from hashing, which is
+    # seeded per process for strings.
+    src = str(Path(sc.__file__).resolve().parents[1])
+    counts = []
+    for hashseed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hashseed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", COUNT_GUARD_CHECKS, str(DATA / "generated_2_1600.poly")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        counts.append(int(done.stdout))
+    assert counts[0] == counts[1] > 0, counts
+
+
 # (file, opt_cameras, opt_guarded_cameras). The 124-vertex polygon's optima
 # come from the oracles with cap=27, which take about 18 s there for the
 # guarded one; test_oracles_on_the_non_staircase_fixture checks the other.
@@ -301,22 +345,32 @@ def test_ladder_covers_are_pinned(n):
     assert cover_digest(n) == LADDER_DIGESTS[n]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 14: transposed twins cache each other",
-)
-def test_a_solve_leaves_no_cyclic_garbage():
+def _solve_file(path):
+    P = sc.parse_polygon(Path(path).read_text())
+    sc.camera_cover(P)
+    sc.guarded_camera_cover(P)
+    return 0
+
+
+SOLVES = {
+    "api": _solve_file,
+    "verify": lambda path: cli.main(["verify", path]),
+    "solve-report": lambda path: cli.main(["solve", path, "--report"]),
+}
+
+
+@pytest.mark.parametrize("solve", sorted(SOLVES))
+@pytest.mark.parametrize("seed, n", [(1, 240), (5, 40), (3, 20)])
+def test_a_solve_leaves_no_cyclic_garbage(solve, seed, n, tmp_path):
     # Everything a solve builds should be freed by reference counting, so
     # that the cyclic collector has nothing to find afterwards.
-    text = sc.format_polygon(sc.generate_polygon(1, 240))
-    sc.camera_cover(sc.parse_polygon(text))
+    path = tmp_path / "p.poly"
+    path.write_text(sc.format_polygon(sc.generate_polygon(seed, n)))
+    assert SOLVES[solve](str(path)) == 0
     gc.collect()
     gc.disable()
     try:
-        P = sc.parse_polygon(text)
-        sc.camera_cover(P)
-        sc.guarded_camera_cover(P)
-        del P
+        assert SOLVES[solve](str(path)) == 0
         found = gc.collect()
     finally:
         gc.enable()

@@ -224,13 +224,17 @@ def test_parallel_guarding_of_a_track_leaving_the_polygon():
     assert not sc.camera_guards_camera(P, V(0, 0, 4), V(3, 0, 4))
 
 
-def test_guarding_vertical_tracks_caches_nothing_on_the_transpose():
-    # Vertical tracks are asked in P's own frame, so their slab chords are
-    # cached on P alone, not a second time on its transposed twin.
+def test_a_guarded_solve_caches_no_polygon_on_p():
+    # Both axes are read off P's own column and row tables, so a solve
+    # caches no second polygon on P, and with it no cycle between the two.
+    keys = {
+        "chord_table", "column_rects", "columns", "reflex", "row_rects", "rows", "slab_chords",
+    }
     for seed in range(1, 11):
         P = sc.parse_polygon(sc.format_polygon(sc.generate_polygon(seed, 240)))
         sc.guarded_camera_cover(P)
-        assert "slab_chords" not in P.transposed()._cache, seed
+        assert not any(isinstance(v, sc.OrthoPolygon) for v in P._cache.values()), seed
+        assert set(P._cache) == keys, seed
 
 
 def outcome(f, *args):
@@ -307,7 +311,7 @@ def test_guards_entirely_matches_region_containment_on_random_input():
 def reference_slab_chords(P, s):
     """_slab_chords by one chord_scaled point query per slab midpoint."""
     Q, t = (P.transposed(), s.transposed()) if s.is_vertical else (P, s)
-    xs = Q.vertex_xs()
+    xs = sorted({v.x for v in Q.vertices})
     cuts = [t.lo, *xs[bisect_right(xs, t.lo) : bisect_left(xs, t.hi)], t.hi]
     slabs = list(zip(cuts, cuts[1:]))
     ivs = [Q.chord_scaled(a + b, 2 * t.anchor, sc.VERTICAL) for a, b in slabs]
