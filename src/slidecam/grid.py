@@ -21,11 +21,12 @@ c's per-slab chords.
 Chords, origins and clearances come from one table per orientation, read
 straight off P's column and row tables with no point query. A reflex
 vertex lies on an event line of one table, so its chord is the interval of
-that line holding it, and the chord's clearance is read off the other
-table's sections over its span. The prune then compares the table's rows
-by index and builds no segment. The later phases read a grid track's own
-per-slab chords through visibility._slab_chords, which fills its cache on
-first use.
+that line holding it, and the chord's clearance is climbed off the same
+table: from the chord's line, up and down one section at a time, to the
+first section whose intervals do not hold the chord's span. The prune then
+compares the table's rows by index and builds no segment. The later phases
+read a grid track's own per-slab chords through visibility._slab_chords,
+which fills its cache on first use.
 """
 
 from __future__ import annotations
@@ -122,31 +123,35 @@ def _frame_chords(P: OrthoPolygon, orientation: str, points):
     A chord lies on an event line of the sections that perpendicular
     tracks see along (P's columns for a vertical chord, its rows for a
     horizontal one), so a reflex vertex's chord is the interval of that
-    line holding it. Its clearance comes off the sections of its own
-    orientation: over each open slab of the chord's span, the interval
-    holding the chord's line. Points of one chord are consecutive, so each
+    line holding it. Its clearance is climbed off the same sections, from
+    the chord's line outward one section at a time: within a section
+    intervals never touch, so the open span lies in P across it exactly
+    when one interval holds the closed span. The first section that fails
+    each way bounds the clearance at its line, which is where some slab's
+    chord through the chord's line ends (the slab-by-slab reading,
+    visibility._clearance). Points of one chord are consecutive, so each
     chord is read once.
     """
     across = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
-    XS, _gaps, events = P._sections(across)
-    YS, gaps, _events = P._sections(orientation)
+    XS, gaps, events = P._sections(across)
     segments, origins, clearances = [], [], []
     last = None
     for x, y, v in points:
-        X = 2 * x
-        lo, hi = _interval_at(events[bisect_left(XS, X)], 2 * y)
+        i = bisect_left(XS, 2 * x)
+        lo, hi = _interval_at(events[i], 2 * y)
         if last == (x, lo):
             origins[-1].append(v)
             continue
         last = (x, lo)
-        # The chord ends on vertex coordinates, so its slabs are the
-        # sections from its lo's up to its hi's.
-        first = bisect_left(YS, lo)
-        slabs = gaps[first : bisect_left(YS, hi, first)]
-        los, his = zip(*[_interval_at(column, X) for column in slabs])
+        up = i
+        while up < len(gaps) and (iv := _interval_at(gaps[up], lo)) and iv[1] >= hi:
+            up += 1
+        down = i
+        while down and (iv := _interval_at(gaps[down - 1], lo)) and iv[1] >= hi:
+            down -= 1
         segments.append(OrthoSegment(orientation, x, lo // 2, hi // 2))
         origins.append([v])
-        clearances.append((max(los), min(his)))
+        clearances.append((XS[down], XS[up]))
     return segments, [tuple(vs) for vs in origins], clearances
 
 

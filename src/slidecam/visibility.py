@@ -8,10 +8,11 @@ so a horizontal track sees, within its span, exactly the whole column
 interval that holds its line. Those slab chords are the primitive:
 _slab_chords reads them off P's column table, _clearance takes their common
 part, and guards_entirely reads them directly. Vertical tracks work the
-same way on P's row table, with the axes swapped. The grid prune reads the
-same common part for every reflex chord at once, in grid._chord_table,
-straight off the two tables, and camera_guards_camera uses _clearance for
-one parallel pair at a time.
+same way on P's row table, with the axes swapped. _clearance is the
+slab-by-slab reference for that common part. The grid prune gets the same
+range for every reflex chord at once, in grid._chord_table, by climbing
+the table the chord lies on section by section; camera_guards_camera uses
+_clearance for one parallel pair at a time.
 _slab_chords alone fills its cache on P, for any track on first use.
 
 The solve path builds no visible set and runs no region algebra.

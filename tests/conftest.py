@@ -65,6 +65,37 @@ def serpentine_polygon(rows: int):
     return sc.validate_polygon(_trace(cells))
 
 
+def staircase_polygon(steps: int):
+    """The region between the two axes and `steps` unit stairs descending
+    from (0, steps) to (steps, 0); 2*steps + 2 vertices."""
+    verts = [(0, 0), (steps, 0)]
+    for i in range(1, steps + 1):
+        verts += [(steps - i + 1, i), (steps - i, i)]
+    return sc.validate_polygon(verts)
+
+
+def notched_square(k: int):
+    """A square of side 4k + 4 with k unit notches cut into each side,
+    staggered so that every vertical reflex chord crosses every horizontal
+    one; 16k + 4 vertices. Bottom notches are [4i+2, 4i+3] x [0, 1], top
+    ones [4i+4, 4i+5] x [W-1, W], left ones [0, 1] x [4i+2, 4i+3] and right
+    ones [W-1, W] x [4i+3, 4i+4]."""
+    W = 4 * k + 4
+    verts = [(0, 0)]
+    for i in range(k):
+        verts += [(4 * i + 2, 0), (4 * i + 2, 1), (4 * i + 3, 1), (4 * i + 3, 0)]
+    verts.append((W, 0))
+    for i in range(k):
+        verts += [(W, 4 * i + 3), (W - 1, 4 * i + 3), (W - 1, 4 * i + 4), (W, 4 * i + 4)]
+    verts.append((W, W))
+    for i in reversed(range(k)):
+        verts += [(4 * i + 5, W), (4 * i + 5, W - 1), (4 * i + 4, W - 1), (4 * i + 4, W)]
+    verts.append((0, W))
+    for i in reversed(range(k)):
+        verts += [(0, 4 * i + 3), (1, 4 * i + 3), (1, 4 * i + 2), (0, 4 * i + 2)]
+    return sc.validate_polygon(verts)
+
+
 def images(P):
     """All 8 transposed and mirrored images of P, through validate_polygon
     (which reverses the clockwise ones)."""

@@ -2,13 +2,29 @@
 
 import random
 from bisect import bisect_left, bisect_right
+from pathlib import Path
 
 import pytest
 
 import slidecam as sc
+from slidecam import grid
 from slidecam.grid import _chord_table
 from slidecam.visibility import _clearance
-from conftest import EAR, LSHAPE, PLUS, RECT, STAIR2, corpus_target, images
+from conftest import (
+    EAR,
+    LSHAPE,
+    PLUS,
+    RECT,
+    STAIR2,
+    comb_polygon,
+    corpus_target,
+    images,
+    notched_square,
+    serpentine_polygon,
+    staircase_polygon,
+)
+
+DATA = Path(__file__).parent / "data"
 
 H = sc.OrthoSegment.horizontal
 V = sc.OrthoSegment.vertical
@@ -259,6 +275,11 @@ def test_chord_table_matches_max_chord_and_clearance(corpus):
     polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 11)]
     polygons += [sc.generate_polygon(seed, 400) for seed in range(1, 5)]
     polygons += list(images(sc.generate_polygon(1, 240)))
+    # The clearance climbs run longest here: a staircase chord climbs past
+    # every step below it, a comb's base chord under every tooth.
+    for P in (comb_polygon(30), serpentine_polygon(30), staircase_polygon(40), notched_square(10)):
+        polygons += list(images(P))
+    polygons += [sc.parse_polygon(path.read_text()) for path in sorted(DATA.glob("*.poly"))]
     shared = 0
     for P in polygons:
         want = max_chord_origins(P)
@@ -269,6 +290,43 @@ def test_chord_table_matches_max_chord_and_clearance(corpus):
                 assert clearance == _clearance(P, s), (P, str(s))
                 shared += len(vs) > 1
     assert shared > 100
+
+
+@pytest.mark.parametrize(
+    "name, P",
+    [
+        ("notched_square_1604.poly", notched_square(100)),
+        ("staircase_2002.poly", staircase_polygon(1000)),
+    ],
+)
+def test_family_fixtures_are_their_builders_output(name, P):
+    text = (DATA / name).read_text()
+    body = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+    assert body == sc.format_polygon(P)
+
+
+def test_chord_table_work_is_linear_on_the_notched_square(monkeypatch):
+    # Each clearance climbs from the chord's line until a section fails to
+    # hold its span. On the notched square every climb stops near the line,
+    # so the interval reads grow with n: 912 -> 3,612 for k = 25 -> 100,
+    # 3.96x against n's 3.97x. Reading every slab of every chord's span
+    # grew them with n^2: 16,287 -> 245,112, 15.05x.
+    reads = 0
+    real = grid._interval_at
+
+    def counted(*args):
+        nonlocal reads
+        reads += 1
+        return real(*args)
+
+    monkeypatch.setattr(grid, "_interval_at", counted)
+    counts = []
+    for k in (25, 100):
+        P = notched_square(k)
+        reads = 0
+        _chord_table(P)
+        counts.append(reads)
+    assert counts[1] / counts[0] <= 4.5, counts
 
 
 def test_prune_rejects_chords_not_through_reflex_vertices():

@@ -5,6 +5,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,17 @@ import pytest
 import slidecam as sc
 from slidecam import cli
 from conftest import (
-    EAR, LSHAPE, PLUS, RECT, STAIR2, comb_polygon, corpus_target, images, serpentine_polygon
+    EAR,
+    LSHAPE,
+    PLUS,
+    RECT,
+    STAIR2,
+    comb_polygon,
+    corpus_target,
+    images,
+    notched_square,
+    serpentine_polygon,
+    staircase_polygon,
 )
 
 H = sc.OrthoSegment.horizontal
@@ -108,6 +119,29 @@ def test_guarded_every_camera_watched_on_sample():
             assert any(
                 sc.camera_guards_camera(P, o, c) for o in others
             ), (seed, str(c))
+
+
+@pytest.mark.parametrize(
+    "build, size", [(staircase_polygon, 150), (notched_square, 20)], ids=["staircase", "notched"]
+)
+def test_both_covers_of_the_adversarial_families(build, size):
+    # 302 and 324 vertices. Each solve builds its polygon afresh, so the
+    # second one rebuilds every table cached on it.
+    def output(found):
+        return found.cameras, found.provenance, replace(found.stats, phase_seconds=None)
+
+    solves = [
+        [output(solve(build(size))) for solve in (sc.camera_cover, sc.guarded_camera_cover)]
+        for _ in range(2)
+    ]
+    assert solves[0] == solves[1]
+    P = build(size)
+    for cams, _provenance, _stats in solves[0]:
+        assert sc.covers_polygon(P, cams)
+    guarded = solves[0][1][0]
+    for i, c in enumerate(guarded):
+        others = guarded[:i] + guarded[i + 1 :]
+        assert any(sc.camera_guards_camera(P, o, c) for o in others), str(c)
 
 
 def test_cover_on_sample():
