@@ -15,6 +15,11 @@ on generate_polygon(16, 86) V 9 3 18 sees three, and on
 generate_polygon(47, 188) H 3 12 20 sees four (both pinned in
 tests/test_critical.py). The patch stays valid either way; its ratio is
 checked against the oracles rather than proved.
+
+A track sees a piece whole exactly when its span holds the piece's extent
+and its line lies in the piece's clearance (visibility._piece_clearance),
+so the graph is built from one read of P's section tables per piece, with
+guards_entirely as the one-pair reference.
 """
 
 from __future__ import annotations
@@ -23,12 +28,15 @@ from dataclasses import dataclass
 
 from . import matching
 from .errors import UnguardableRegion
-from .geom import OrthoPolygon, OrthoSegment
+from .geom import HORIZONTAL, VERTICAL, OrthoPolygon, OrthoSegment
 from .region import RectilinearRegion, region_components
 # region_difference is unused here: perfbench/spans.py wraps the name on
 # this module and fails when it is missing.
 from .region import region_difference  # noqa: F401
-from .visibility import guards_entirely, uncovered_region
+from .visibility import _piece_clearance, uncovered_region
+# guards_entirely is unused here: perfbench/spans.py wraps the name on
+# this module and fails when it is missing.
+from .visibility import guards_entirely  # noqa: F401
 
 
 def critical_regions(P: OrthoPolygon, cameras) -> list[RectilinearRegion]:
@@ -93,27 +101,36 @@ class RegionGraph:
 def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     """Match leftover pieces with tracks that see them entirely.
 
-    regions are non-empty pieces and candidates are tracks inside P, as
-    critical_regions and grid.segments give them: a candidate whose span
-    cannot hold a piece's extent along it is passed over without a call to
-    guards_entirely, so a bad track there raises nothing.
+    regions are non-empty pieces of P and candidates are tracks inside P,
+    as critical_regions and grid.segments give them; neither is checked
+    here. A candidate sees a piece whole exactly when its span holds the
+    piece's extent along it and twice its anchor lies in the piece's
+    clearance for its orientation (_piece_clearance, read once per piece),
+    so no candidate's slab chords are read. A bad track therefore raises
+    nothing here; one that ends up chosen still raises SegmentNotInside in
+    checked_cover.
 
     Raises UnguardableRegion when some piece is seen whole by no candidate
     track; no grid cover tried has left such a piece.
     """
     regions = tuple(regions)
-    candidates = list(candidates)
+    candidates = tuple(candidates)
     seers: list[list[int]] = []
     for idx, r in enumerate(regions):
         # Canonical rects run left to right, so the first and last give the
         # x-extent; the y-extent takes a pass.
         x0, x1 = r.rects[0][0], r.rects[-1][1]
         y0, y1 = min(rect[2] for rect in r.rects), max(rect[3] for rect in r.rects)
+        h_lo, h_hi = _piece_clearance(P, HORIZONTAL, r.rects)
+        v_lo, v_hi = _piece_clearance(P, VERTICAL, r.rects)
         who = [
             k
             for k, s in enumerate(candidates)
-            if (s.lo <= y0 and y1 <= s.hi if s.is_vertical else s.lo <= x0 and x1 <= s.hi)
-            and guards_entirely(P, s, r)
+            if (
+                s.lo <= y0 and y1 <= s.hi and v_lo <= 2 * s.anchor <= v_hi
+                if s.is_vertical
+                else s.lo <= x0 and x1 <= s.hi and h_lo <= 2 * s.anchor <= h_hi
+            )
         ]
         if not who:
             raise UnguardableRegion(f"no track sees leftover piece {idx} whole")
@@ -130,9 +147,7 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     linked = {v for e in edges for v in e}
     loops = tuple(i for i in range(len(regions)) if i not in linked)
     loop_witness = {i: seers[i][0] for i in loops}
-    return RegionGraph(
-        regions, tuple(candidates), tuple(edges), witness, loops, loop_witness
-    )
+    return RegionGraph(regions, candidates, tuple(edges), witness, loops, loop_witness)
 
 
 def min_edge_cover(g: RegionGraph) -> list[tuple[int, int]]:

@@ -6,14 +6,18 @@ through s meets s and lies entirely inside the polygon. Over each column of
 P (an open slab between consecutive vertex x's) P's cross-section is fixed,
 so a horizontal track sees, within its span, exactly the whole column
 interval that holds its line. Those slab chords are the primitive:
-_slab_chords reads them off P's column table, _clearance takes their common
-part, and guards_entirely reads them directly. Vertical tracks work the
-same way on P's row table, with the axes swapped. _clearance is the
-slab-by-slab reference for that common part. The grid prune gets the same
-range for every reflex chord at once, in grid._chord_table, by climbing
-the table the chord lies on section by section; camera_guards_camera uses
-_clearance for one parallel pair at a time.
-_slab_chords alone fills its cache on P, for any track on first use.
+_slab_chords reads them off P's column table and _clearance takes their
+common part. Vertical tracks work the same way on P's row table, with the
+axes swapped. _clearance is the slab-by-slab reference for that common
+part. The grid prune gets the same range for every reflex chord at once,
+in grid._chord_table, by climbing the table the chord lies on section by
+section; camera_guards_camera uses _clearance for one parallel pair at a
+time. A leftover piece has a clearance too: _piece_clearance reads it off
+the section intervals that hold the piece, so the patch reads no track's
+slab chords. guards_entirely, which reads one track's chords directly, is
+its one-pair reference.
+_slab_chords alone fills its cache on P, for any track on first use, and
+on the solve path only the cameras reach it.
 
 The solve path builds no visible set and runs no region algebra.
 uncovered_region (behind covers_polygon and critical_regions) marks the
@@ -125,6 +129,28 @@ def _clearance(P: OrthoPolygon, c: OrthoSegment) -> tuple[int, int] | None:
     if chords is None:
         return None
     return max(ch[2] for ch in chords), min(ch[3] for ch in chords)
+
+
+def _piece_clearance(P: OrthoPolygon, orientation: str, rects) -> tuple[int, int]:
+    """Scaled range (lo, hi) of anchors from which a track of `orientation`
+    whose span holds the piece sees the piece whole; lo > hi when no anchor
+    does. rects are the piece's rects in P's frame, each of positive area
+    and inside P.
+
+    Within one section of P._sections(orientation) the intervals never
+    touch, so such a rect lies in exactly one interval over each section it
+    overlaps with positive width, and the track's slab chord there holds
+    the rect exactly when the track's line lies in that interval. The range
+    is the max floor and min ceiling of those intervals."""
+    XS, gaps, _events = P._sections(orientation)
+    if orientation == VERTICAL:
+        rects = [(y0, y1, x0, x1) for x0, x1, y0, y1 in rects]
+    ivs = [
+        _interval_at(column, 2 * y0)
+        for x0, x1, y0, _y1 in rects
+        for column in gaps[bisect_right(XS, 2 * x0) - 1 : bisect_left(XS, 2 * x1)]
+    ]
+    return max(iv[0] for iv in ivs), min(iv[1] for iv in ivs)
 
 
 def visible_union(P: OrthoPolygon, segments) -> RectilinearRegion:

@@ -1,9 +1,23 @@
 """Staircase recognition, leftover extraction and the patch graph."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 import slidecam as sc
-from conftest import EAR, LSHAPE, PLUS, corpus_target
+from slidecam.visibility import _piece_clearance
+from conftest import (
+    EAR,
+    LSHAPE,
+    PLUS,
+    comb_polygon,
+    corpus_target,
+    images,
+    notched_square,
+    serpentine_polygon,
+    staircase_polygon,
+)
 
 H = sc.OrthoSegment.horizontal
 V = sc.OrthoSegment.vertical
@@ -248,8 +262,8 @@ def test_one_track_can_see_three_or_four_pieces_whole(seed, n, track, seen):
 
 
 def reference_region_graph(P, regions, candidates):
-    """build_region_graph without the span skip: every candidate against
-    every piece through guards_entirely."""
+    """build_region_graph without the span filter or the clearances: every
+    candidate against every piece through guards_entirely."""
     from slidecam.visibility import guards_entirely
 
     seers = [[k for k, s in enumerate(candidates) if guards_entirely(P, s, r)] for r in regions]
@@ -274,8 +288,15 @@ def reference_region_graph(P, regions, candidates):
 
 def test_region_graph_span_skip_matches_a_full_scan(corpus_runs_1000):
     runs = [run for _seed, _P, run in corpus_runs_1000]
-    runs += [sc.run_pipeline(sc.generate_polygon(seed, 240)) for seed in (119, 386)]
-    runs.append(sc.run_pipeline(sc.generate_polygon(2, 320)))
+    families = (notched_square(10), staircase_polygon(40), comb_polygon(30), serpentine_polygon(30))
+    polygons = [Q for F in families for Q in images(F)]
+    polygons += [
+        sc.parse_polygon(path.read_text())
+        for path in sorted((Path(__file__).parent / "data").glob("*.poly"))
+    ]
+    polygons += [sc.generate_polygon(seed, n) for seed, n in ((119, 240), (386, 240))]
+    polygons += [sc.generate_polygon(seed, n) for seed, n in ((16, 86), (47, 188), (2, 320))]
+    runs += [sc.run_pipeline(Q) for Q in polygons]
     patched = 0
     for run in runs:
         if not run.regions:
@@ -288,4 +309,43 @@ def test_region_graph_span_skip_matches_a_full_scan(corpus_runs_1000):
         # Reversed, the vertical tracks come first and win the witnesses.
         want = reference_region_graph(P, run.regions, segments[::-1])
         assert sc.build_region_graph(P, run.regions, segments[::-1]) == want
-    assert patched > 150
+    assert patched > 200
+
+
+def extent(r, orientation):
+    """The piece's extent along tracks of `orientation`."""
+    if orientation == sc.HORIZONTAL:
+        return r.rects[0][0], r.rects[-1][1]
+    return min(rect[2] for rect in r.rects), max(rect[3] for rect in r.rects)
+
+
+def test_piece_clearance_matches_guards_entirely():
+    # Pieces that random subsets of the grid leave, against every grid
+    # track: a track sees a piece whole exactly when its span holds the
+    # piece's extent and twice its anchor lies in the piece's clearance.
+    rng = random.Random(29)
+    polygons = [sc.generate_polygon(seed, corpus_target(seed)) for seed in range(1, 501)]
+    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 11)]
+    families = (notched_square(6), staircase_polygon(20), comb_polygon(12), serpentine_polygon(12))
+    polygons += [Q for F in families for Q in images(F)]
+    seen = {sc.HORIZONTAL: set(), sc.VERTICAL: set()}
+    pairs = 0
+    for P in polygons:
+        segments = sc.guarding_grid(P).segments
+        for _ in range(4):
+            keep = rng.random()
+            chosen = [s for s in segments if rng.random() < keep]
+            for r in sc.critical_regions(P, chosen):
+                for o in (sc.HORIZONTAL, sc.VERTICAL):
+                    e0, e1 = extent(r, o)
+                    lo, hi = _piece_clearance(P, o, r.rects)
+                    for s in segments:
+                        if s.orientation != o:
+                            continue
+                        want = sc.guards_entirely(P, s, r)
+                        got = s.lo <= e0 and e1 <= s.hi and lo <= 2 * s.anchor <= hi
+                        assert got == want, (sc.format_polygon(P), str(s), r.rects)
+                        seen[o].add(want)
+                        pairs += 1
+    assert seen == {sc.HORIZONTAL: {True, False}, sc.VERTICAL: {True, False}}
+    assert pairs > 20000, pairs

@@ -17,7 +17,7 @@ import pytest
 import brute
 import slidecam as sc
 from slidecam.visibility import _slab_chords
-from conftest import EAR, LSHAPE, NAMED, corpus_target
+from conftest import EAR, LSHAPE, NAMED, corpus_target, notched_square
 
 H = sc.OrthoSegment.horizontal
 V = sc.OrthoSegment.vertical
@@ -368,23 +368,26 @@ def test_slab_chords_match_per_slab_point_queries(corpus):
 
 
 def test_a_solve_caches_exactly_the_slab_chords_it_read(corpus):
-    # _slab_chords is the cache's one writer and fills it on first use, so
-    # after a full solve on a fresh parse every cover and patch track is in
-    # it, and every entry is what a fresh polygon's point queries give.
+    # _slab_chords is the cache's one writer and fills it on first use, and
+    # only the coverage and guarding checks read camera tracks' chords: the
+    # grid prune and the patch read clearances off P's tables. So after a
+    # guarded solve on a fresh parse the cache holds the cameras and nothing
+    # else, and every entry is what a fresh polygon's point queries give.
     texts = [sc.format_polygon(P) for _seed, P in corpus]
     texts += [
         sc.format_polygon(sc.generate_polygon(seed, corpus_target(seed)))
         for seed in range(501, 1001)
     ]
-    texts += [sc.format_polygon(sc.generate_polygon(seed, 240)) for seed in range(1, 11)]
+    texts += [sc.format_polygon(sc.generate_polygon(seed, 240)) for seed in range(1, 41)]
     texts.append((Path(__file__).parent / "data" / "generated_2_1600.poly").read_text())
+    # One piece is left, and all 4k + 2 grid tracks pass its span filter.
+    texts += [sc.format_polygon(notched_square(k)) for k in (25, 100)]
     tracks = entries = 0
     for text in texts:
         P = sc.parse_polygon(text)
-        run = sc.run_pipeline(P)
-        sc.pipeline.watched_cover(P, sc.pipeline.checked_cover(run))
+        found = sc.pipeline.watched_cover(P, sc.pipeline.checked_cover(sc.run_pipeline(P)))
         cache = P._cache["slab_chords"]
-        assert set(run.cover_segments) | set(run.patch_segments) <= cache.keys(), text
+        assert cache.keys() == set(found.cameras), text
         fresh = sc.parse_polygon(text)
         for s, chords in cache.items():
             assert chords == reference_slab_chords(fresh, s), (text, str(s))
