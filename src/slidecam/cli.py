@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import ParseError, PolygonError, SlidecamError, TooLarge
 from .generator import generate_polygon
+from .oracles import NODE_CAP, TRACK_CAP
 from .oracles import opt_cameras, opt_grid_cover, opt_guarded_cameras, opt_region_cover
 from .pipeline import checked_cover, run_pipeline, watched_cover
 from .polyfile import format_polygon, parse_polygon
@@ -93,8 +94,8 @@ def cmd_verify(args) -> int:
     run = run_pipeline(P)
     found = checked_cover(run)
     guarded = watched_cover(P, found)
-    track_cap = args.cap if args.cap else 22
-    node_cap = args.cap if args.cap else 18
+    track_cap = args.cap or TRACK_CAP
+    node_cap = args.cap or NODE_CAP
 
     failures = []
     skipped = []
@@ -179,7 +180,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--strict", action="store_true",
                           help="fail when an oracle cap is exceeded")
     p_verify.add_argument("--cap", type=int, default=0,
-                          help="override the oracle size caps")
+                          help="override the oracle size caps (default: "
+                          f"{TRACK_CAP} candidate tracks, {NODE_CAP} grid nodes)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

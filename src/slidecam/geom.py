@@ -113,9 +113,12 @@ class OrthoPolygon:
     """Simple rectilinear polygon, vertices in counterclockwise order.
 
     Instances are immutable by convention and should be built through
-    validate_polygon; the constructor trusts its input. Derived structures
-    (edge list, column and row tables, all from P's own vertices) are
-    cached lazily because the same polygon is queried many times.
+    validate_polygon; the constructor trusts its input. _cache holds only
+    what one solve reads more than once: the column and row tables here,
+    and, filled by their readers, the reflex vertices, the grid's chord
+    table, the tracks' slab chords and the oracles' candidates. The edge
+    list and bounding box are cheap and rarely read, so each call rebuilds
+    them.
     """
 
     __slots__ = ("vertices", "_cache")
@@ -139,21 +142,13 @@ class OrthoPolygon:
         return len(self.vertices)
 
     def edges(self) -> list[tuple[Point, Point]]:
-        out = self._cache.get("edges")
-        if out is None:
-            vs = self.vertices
-            out = [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
-            self._cache["edges"] = out
-        return out
+        vs = self.vertices
+        return list(zip(vs, vs[1:] + vs[:1]))
 
     def bbox(self) -> tuple[int, int, int, int]:
-        out = self._cache.get("bbox")
-        if out is None:
-            xs = [v.x for v in self.vertices]
-            ys = [v.y for v in self.vertices]
-            out = (min(xs), min(ys), max(xs), max(ys))
-            self._cache["bbox"] = out
-        return out
+        xs = [v.x for v in self.vertices]
+        ys = [v.y for v in self.vertices]
+        return min(xs), min(ys), max(xs), max(ys)
 
     def transposed(self) -> "OrthoPolygon":
         """Mirror across the main diagonal (x and y swapped), still CCW.

@@ -43,6 +43,11 @@ from .guarded_cover import is_guarded_cover
 # are missing.
 from .visibility import camera_guards_camera, camera_visibility  # noqa: F401
 
+# Enumeration caps: candidate tracks for the polygon oracles, grid nodes
+# for opt_grid_cover. Past them an oracle raises TooLarge.
+TRACK_CAP = 22
+NODE_CAP = 18
+
 
 def _left_edge_camera(P: OrthoPolygon) -> OrthoSegment:
     x0, y0, _x1, y1 = P.bbox()
@@ -213,7 +218,7 @@ def _first_cover(masks, full):
     raise AssertionError("the candidates fail to cover the target")
 
 
-def opt_cameras(P: OrthoPolygon, cap: int = 22):
+def opt_cameras(P: OrthoPolygon, cap: int = TRACK_CAP):
     """Minimum number of covering cameras and the smallest witness set."""
     if not reflex_vertices(P):
         return 1, (_left_edge_camera(P),)
@@ -222,7 +227,7 @@ def opt_cameras(P: OrthoPolygon, cap: int = 22):
     return k, tuple(segments[i] for i in combo)
 
 
-def opt_guarded_cameras(P: OrthoPolygon, cap: int = 22):
+def opt_guarded_cameras(P: OrthoPolygon, cap: int = TRACK_CAP):
     """Minimum covering camera multiset in which every camera is watched by
     another (a twin on the same track counts). Returns (size, witness)."""
     if not reflex_vertices(P):
@@ -261,7 +266,7 @@ def opt_guarded_cameras(P: OrthoPolygon, cap: int = 22):
     return best_cost, best_witness
 
 
-def opt_grid_cover(graph: IntersectionGraph, cap: int = 18):
+def opt_grid_cover(graph: IntersectionGraph, cap: int = NODE_CAP):
     """Exhaustive minimum guarded cover of an intersection graph."""
     n = graph.n
     if n > cap:
@@ -277,7 +282,7 @@ def opt_grid_cover(graph: IntersectionGraph, cap: int = 18):
     return len(witness), witness
 
 
-def opt_region_cover(P: OrthoPolygon, regions, cap: int = 22):
+def opt_region_cover(P: OrthoPolygon, regions, cap: int = TRACK_CAP):
     """Minimum subset of the pruned chords whose visible sets jointly cover
     all given regions; collective guarding is allowed."""
     regions = list(regions)

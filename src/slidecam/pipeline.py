@@ -166,11 +166,11 @@ def checked_cover(run: PipelineRun) -> GuardSet:
     return GuardSet(cameras, provenance, run.stats)
 
 
-def watched_cover(P: OrthoPolygon, found: GuardSet, allow_self_guard=False) -> GuardSet:
-    """guarded_camera_cover's check: a cover track watches every camera."""
+def watched_cover(P: OrthoPolygon, found: GuardSet) -> GuardSet:
+    """guarded_camera_cover's check: a cover track watches every camera.
+    A lone camera has no distinct guard, so its track is staffed twice."""
     if len(found.cameras) == 1:
-        k = 1 if allow_self_guard else 2
-        return GuardSet(found.cameras * k, found.provenance * k, found.stats)
+        return GuardSet(found.cameras * 2, found.provenance * 2, found.stats)
     # In camera order, so the work done is the same in every process.
     cover = [c for c, p in zip(found.cameras, found.provenance) if p == FROM_S]
     for cam in found.cameras:
@@ -184,14 +184,14 @@ def camera_cover(P: OrthoPolygon) -> GuardSet:
     return checked_cover(run_pipeline(P))
 
 
-def guarded_camera_cover(P: OrthoPolygon, allow_self_guard: bool = False) -> GuardSet:
+def guarded_camera_cover(P: OrthoPolygon) -> GuardSet:
     """Covering cameras whose tracks also watch each other, at most 2.5x
     the optimum of the guarded problem.
 
     Tracks in the cover pairwise intersect enough to watch each other, and
     every patch track crosses a cover track; both facts are re-verified
-    camera by camera. With one cover track and nothing else, the default is
-    to staff the same track twice, since a lone camera has no distinct
-    guard; allow_self_guard=True returns the single camera instead.
+    camera by camera. With one cover track and nothing else, the same track
+    is staffed twice, since a lone camera has no distinct guard; the
+    oracle opt_guarded_cameras counts it the same way.
     """
-    return watched_cover(P, checked_cover(run_pipeline(P)), allow_self_guard)
+    return watched_cover(P, checked_cover(run_pipeline(P)))

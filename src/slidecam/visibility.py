@@ -17,7 +17,8 @@ the section intervals that hold the piece, so the patch reads no track's
 slab chords. guards_entirely, which reads one track's chords directly, is
 its one-pair reference.
 _slab_chords alone fills its cache on P, for any track on first use, and
-on the solve path only the cameras reach it.
+on the solve path only the cameras reach it. Everything else here reads
+P's column and row tables in place and caches nothing reshaped from them.
 
 The solve path builds no visible set and runs no region algebra.
 uncovered_region (behind covers_polygon and critical_regions) marks the
@@ -157,27 +158,14 @@ def visible_union(P: OrthoPolygon, segments) -> RectilinearRegion:
     return region_union_all(camera_visibility(P, s) for s in segments)
 
 
-def _section_rects(P: OrthoPolygon, orientation: str):
-    """((k, y_lo), rect) per interval of P's sections for tracks of
-    `orientation` (P._sections), section by section and up each section:
-    k is the section's index, y_lo the interval's scaled floor, and rect
-    the interval as a closed rect in that frame. Cached on P."""
-    key = "column_rects" if orientation == HORIZONTAL else "row_rects"
-    out = P._cache.get(key)
-    if out is None:
-        XS, gaps, _events = P._sections(orientation)
-        out = [
-            ((k, y_lo), (XS[k] // 2, XS[k + 1] // 2, y_lo // 2, y_hi // 2))
-            for k, column in enumerate(gaps)
-            for y_lo, y_hi in column
-        ]
-        P._cache[key] = out
-    return out
-
-
 def polygon_region(P: OrthoPolygon) -> RectilinearRegion:
     """The closed polygon as a canonical region: its column intervals."""
-    return from_rects(rect for _key, rect in _section_rects(P, HORIZONTAL))
+    XS, gaps, _events = P._sections(HORIZONTAL)
+    return from_rects(
+        (XS[k] // 2, XS[k + 1] // 2, lo // 2, hi // 2)
+        for k, column in enumerate(gaps)
+        for lo, hi in column
+    )
 
 
 def _unseen_rects(P: OrthoPolygon, orientation: str, tracks) -> list[tuple[int, int, int, int]]:
@@ -193,7 +181,7 @@ def _unseen_rects(P: OrthoPolygon, orientation: str, tracks) -> list[tuple[int, 
     found by one walk up those spans sorted; the others are seen whole or
     not at all.
     """
-    XS = P._sections(orientation)[0]
+    XS, gaps, _events = P._sections(orientation)
     whole: set[tuple[int, int]] = set()
     partial: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for lo, chords in tracks:
@@ -205,20 +193,23 @@ def _unseen_rects(P: OrthoPolygon, orientation: str, tracks) -> list[tuple[int, 
                 partial.setdefault((k, y_lo), []).append((a, b))
             k += 1
     rects = []
-    for key, rect in _section_rects(P, orientation):
-        if key in whole:
-            continue
-        spans = partial.get(key)
-        if spans is None:
-            rects.append(rect)
-            continue
-        x, x1, y0, y1 = rect
-        for a, b in sorted(spans):
-            if x < a:
-                rects.append((x, a, y0, y1))
-            x = max(x, b)
-        if x < x1:
-            rects.append((x, x1, y0, y1))
+    for k, column in enumerate(gaps):
+        x0, x1 = XS[k] // 2, XS[k + 1] // 2
+        for y_lo, y_hi in column:
+            if (k, y_lo) in whole:
+                continue
+            y0, y1 = y_lo // 2, y_hi // 2
+            spans = partial.get((k, y_lo))
+            if spans is None:
+                rects.append((x0, x1, y0, y1))
+                continue
+            x = x0
+            for a, b in sorted(spans):
+                if x < a:
+                    rects.append((x, a, y0, y1))
+                x = max(x, b)
+            if x < x1:
+                rects.append((x, x1, y0, y1))
     return rects
 
 

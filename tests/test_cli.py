@@ -1,5 +1,9 @@
 """Command line behavior: round trips, reports, exit codes, SVG output."""
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import slidecam as sc
@@ -209,3 +213,42 @@ def test_solve_the_thousand_track_serpentine(capsys):
     path = Path(__file__).parent / "data" / "serpentine_4000.poly"
     assert main(["solve", str(path), "--check"]) == 0
     assert capsys.readouterr().out.endswith("coverage: ok\n")
+
+
+def run_python(args, cwd):
+    """Run a fresh interpreter on args with this checkout's src/ first on
+    its path; returns the finished process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+def test_the_package_loads_nothing_outside_the_standard_library(tmp_path):
+    script = (
+        "import importlib, json, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import slidecam\n"
+        "for m in pkgutil.iter_modules(slidecam.__path__):\n"
+        "    importlib.import_module('slidecam.' + m.name)\n"
+        "print(json.dumps(sorted({n.partition('.')[0] for n in set(sys.modules) - before})))\n"
+    )
+    proc = run_python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert "slidecam" in loaded
+    assert {name for name in loaded if name not in sys.stdlib_module_names} == {"slidecam"}
+
+
+def test_the_module_entry_point_generates_solves_and_verifies(tmp_path):
+    gen = run_python(["-m", "slidecam.cli", "gen", "--seed", "3", "--vertices", "20"], tmp_path)
+    assert gen.returncode == 0, gen.stderr
+    (tmp_path / "g.poly").write_text(gen.stdout)
+    solve = run_python(["-m", "slidecam.cli", "solve", "g.poly", "--check"], tmp_path)
+    assert solve.returncode == 0, solve.stderr
+    assert solve.stdout.splitlines()[-1] == "coverage: ok"
+    verify = run_python(["-m", "slidecam.cli", "verify", "g.poly"], tmp_path)
+    assert verify.returncode == 0, verify.stderr
+    assert verify.stdout.splitlines()[-1] == "ok"

@@ -98,8 +98,6 @@ def test_guarded_rectangle_doubles_the_track():
     P = sc.validate_polygon(RECT)
     gs = sc.guarded_camera_cover(P)
     assert gs.cameras == (V(0, 0, 3), V(0, 0, 3))
-    solo = sc.guarded_camera_cover(P, allow_self_guard=True)
-    assert solo.cameras == (V(0, 0, 3),)
 
 
 def test_guarded_lshape_pair_watches_itself():

@@ -21,6 +21,7 @@ from conftest import EAR, LSHAPE, NAMED, corpus_target, notched_square
 
 H = sc.OrthoSegment.horizontal
 V = sc.OrthoSegment.vertical
+DATA = Path(__file__).parent / "data"
 
 
 def check_against_brute(P, cam):
@@ -224,17 +225,33 @@ def test_parallel_guarding_of_a_track_leaving_the_polygon():
     assert not sc.camera_guards_camera(P, V(0, 0, 4), V(3, 0, 4))
 
 
-def test_a_guarded_solve_caches_no_polygon_on_p():
+def test_a_guarded_solve_caches_no_polygon_on_p(monkeypatch, capsys):
     # Both axes are read off P's own column and row tables, so a solve
     # caches no second polygon on P, and with it no cycle between the two.
-    keys = {
-        "chord_table", "column_rects", "columns", "reflex", "row_rects", "rows", "slab_chords",
-    }
-    for seed in range(1, 11):
-        P = sc.parse_polygon(sc.format_polygon(sc.generate_polygon(seed, 240)))
+    # Nor does it cache anything reshaped from those tables: each key is a
+    # table the solve reads more than once.
+    keys = {"chord_table", "columns", "reflex", "rows", "slab_chords"}
+    texts = {seed: sc.format_polygon(sc.generate_polygon(seed, 240)) for seed in range(1, 11)}
+    texts.update((path.name, path.read_text()) for path in sorted(DATA.glob("*.poly")))
+    for name, text in texts.items():
+        P = sc.parse_polygon(text)
         sc.guarded_camera_cover(P)
-        assert not any(isinstance(v, sc.OrthoPolygon) for v in P._cache.values()), seed
-        assert set(P._cache) == keys, seed
+        assert not any(isinstance(v, sc.OrthoPolygon) for v in P._cache.values()), name
+        assert set(P._cache) == keys, name
+    # verify adds the oracles' candidates, within their caps and past them
+    import slidecam.cli
+
+    loaded = []
+
+    def parse(text):
+        loaded.append(sc.parse_polygon(text))
+        return loaded[-1]
+
+    monkeypatch.setattr(slidecam.cli, "parse_polygon", parse)
+    for name in ("nonstaircase_36.poly", "generated_1_3000.poly"):
+        assert slidecam.cli.main(["verify", str(DATA / name)]) == 0
+        assert set(loaded[-1]._cache) == keys | {"oracle_candidates"}, name
+    capsys.readouterr()
 
 
 def outcome(f, *args):
