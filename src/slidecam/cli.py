@@ -47,6 +47,7 @@ def _report_lines(name: str, run) -> list[str]:
         f"reflex_vertices: {s.reflex_count}",
         f"reflex_chords: {s.chord_count}",
         f"grid_tracks: {s.grid_size}",
+        f"grid_edges: {s.edge_count}",
         f"cover_tracks: {s.cover_size}",
         f"critical_regions: {s.critical_count}",
         f"patch_tracks: {s.patch_size}",

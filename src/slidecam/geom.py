@@ -339,11 +339,10 @@ def _touching_pairs(keys) -> list[tuple[int, int]]:
     that meet, each given as its (orientation, anchor, lo, hi) tuple: the
     fields, and the order, of OrthoSegment, without building one.
 
-    A sweep: each vertical bisects the horizontals, sorted by anchor, for
-    those whose line its span reaches and whose span reaches its line.
-    Parallel segments meet only when collinear: sorted by (orientation,
-    anchor, lo), each meets the run of followers on its line that start by
-    its hi.
+    Perpendicular pairs come from _crossings, each vertical bisecting the
+    horizontals sorted by anchor. Parallel segments meet only when
+    collinear: sorted by (orientation, anchor, lo), each meets the run of
+    followers on its line that start by its hi.
     """
     order = sorted(range(len(keys)), key=keys.__getitem__)
     pairs = []
@@ -355,13 +354,26 @@ def _touching_pairs(keys) -> list[tuple[int, int]]:
                 break
             pairs.append((min(i, order[q]), max(i, order[q])))
     horizontals = [i for i in order if keys[i][0] == HORIZONTAL]
-    anchors = [keys[i][1] for i in horizontals]
-    for j in order[len(horizontals) :]:
-        _o, x, lo, hi = keys[j]
-        for i in horizontals[bisect_left(anchors, lo) : bisect_right(anchors, hi)]:
-            if keys[i][2] <= x <= keys[i][3]:
-                pairs.append((min(i, j), max(i, j)))
+    crossing = _crossings(keys, order[len(horizontals) :], horizontals)
+    pairs += [(min(i, j), max(i, j)) for i, j in crossing]
     pairs.sort()
+    return pairs
+
+
+def _crossings(keys, movers, fixed) -> list[tuple[int, int]]:
+    """Pairs (i, j), i from movers and j from fixed, of perpendicular
+    segments that meet, each given as its keys entry (orientation, anchor,
+    lo, hi). fixed must be sorted by anchor. Each mover bisects the fixed
+    segments for those whose line its span reaches, and keeps those whose
+    span reaches its line; pairs come in movers order, then fixed order.
+    """
+    anchors = [keys[j][1] for j in fixed]
+    pairs = []
+    for i in movers:
+        _o, a, lo, hi = keys[i]
+        for j in fixed[bisect_left(anchors, lo) : bisect_right(anchors, hi)]:
+            if keys[j][2] <= a <= keys[j][3]:
+                pairs.append((i, j))
     return pairs
 
 

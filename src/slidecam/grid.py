@@ -24,9 +24,18 @@ vertex lies on an event line of one table, so its chord is the interval of
 that line holding it, and the chord's clearance is climbed off the same
 table: from the chord's line, up and down one section at a time, to the
 first section whose intervals do not hold the chord's span. The prune then
-compares the table's rows by index and builds no segment. The later phases
-read a grid track's own per-slab chords through visibility._slab_chords,
-which fills its cache on first use.
+compares the table's rows by index and builds no segment; handed the
+table's own list, as reflex_chords gives it, it takes every row without
+looking a chord up. The later phases read a grid track's own per-slab
+chords through visibility._slab_chords, which fills its cache on first use.
+
+The intersection graph of a Grid is one sorted pass. Distinct maximal
+chords of one orientation never meet (see reflex_chords), so every edge
+joins a horizontal to a vertical, and in segment order every horizontal
+comes first. Each horizontal, in order, bisects the verticals' anchors
+over its span and keeps the verticals whose span holds its line
+(geom._crossings); the verticals are in anchor order, so the pairs come
+out sorted, with no sort and no pair tested twice.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from .geom import (
     OrthoPolygon,
     OrthoSegment,
     Point,
+    _crossings,
     _interval_at,
     _touching_pairs,
     contains_point,
@@ -54,8 +64,9 @@ from .visibility import camera_visibility  # noqa: F401
 
 @dataclass(frozen=True)
 class Grid:
-    """Pruned chord set. segments is sorted and duplicate-free; origins[i]
-    lists the reflex vertices whose maximal chord is exactly segments[i]."""
+    """Pruned chord set. segments is sorted and duplicate-free, and no two
+    of one orientation meet; origins[i] lists the reflex vertices whose
+    maximal chord is exactly segments[i]."""
 
     segments: tuple[OrthoSegment, ...]
     origins: tuple[tuple[Point, ...], ...]
@@ -173,17 +184,22 @@ def prune_dominated(P: OrthoPolygon, chords) -> Grid:
     may well be dominated by a vertical one; that pair is kept
     deliberately (see the module docstring).
     """
-    wanted = set(chords)
+    tables = _chord_table(P)
+    chords = list(chords)
+    if chords == reflex_chords(P):
+        # The whole table, as reflex_chords lists it; the comparison
+        # short-circuits on identity, so no chord is hashed.
+        picks = [range(len(segments)) for segments, *_ in tables]
+    else:
+        wanted = set(chords)
+        picks = [[k for k, s in enumerate(segments) if s in wanted] for segments, *_ in tables]
+        if sum(map(len, picks)) != len(wanted):
+            raise ValueError("prune_dominated takes maximal chords through reflex vertices of P")
     kept, kept_origins = [], []
-    matched = 0
-    for segments, origins, clearances in _chord_table(P):
-        rows = [k for k, s in enumerate(segments) if s in wanted]
-        matched += len(rows)
+    for (segments, origins, clearances), rows in zip(tables, picks):
         for k in _undominated([segments[k] for k in rows], [clearances[k] for k in rows]):
             kept.append(segments[rows[k]])
             kept_origins.append(origins[rows[k]])
-    if matched != len(wanted):
-        raise ValueError("prune_dominated takes maximal chords through reflex vertices of P")
     return Grid(tuple(kept), tuple(kept_origins))
 
 
@@ -204,13 +220,15 @@ def _undominated(group: list[OrthoSegment], clearance: list[tuple[int, int]]) ->
 
     kept = []
     for i, (lo, hi) in enumerate(clearance):
-        # Only chords anchored inside the clearance can guard chord i.
+        # Only chords anchored inside the clearance can guard chord i, and
+        # each of those does exactly when its span covers chord i's.
         first = bisect_left(anchors, (lo + 1) // 2)
         last = bisect_right(anchors, hi // 2)
-        if not any(
-            j != i and guards(j, i) and (j < i or not guards(i, j))
-            for j in range(first, last)
-        ):
+        a, b = los[i], his[i]
+        for j in range(first, last):
+            if los[j] <= a and b <= his[j] and j != i and (j < i or not guards(i, j)):
+                break
+        else:
             kept.append(i)
     return kept
 
@@ -225,10 +243,20 @@ def _segments_of(g) -> tuple[OrthoSegment, ...]:
 
 
 def intersection_graph(g) -> IntersectionGraph:
-    """Closed pairwise intersections of a Grid (or raw segment list), from
-    geom._touching_pairs: the sweep validate_polygon runs on P's edges."""
+    """Closed pairwise intersections of a Grid (or raw segment list).
+
+    A Grid's edges come from one geom._crossings pass, horizontals
+    bisecting the verticals (see the module docstring). A raw list may
+    hold collinear segments that meet, in any order, so it goes through
+    geom._touching_pairs: the sweep validate_polygon runs on P's edges.
+    """
     keys = [(s.orientation, s.anchor, s.lo, s.hi) for s in _segments_of(g)]
-    return IntersectionGraph(len(keys), tuple(_touching_pairs(keys)))
+    if isinstance(g, Grid):
+        h = bisect_left(keys, (VERTICAL,))
+        pairs = _crossings(keys, range(h), range(h, len(keys)))
+    else:
+        pairs = _touching_pairs(keys)
+    return IntersectionGraph(len(keys), tuple(pairs))
 
 
 def is_simple_grid(g, P: OrthoPolygon) -> bool:

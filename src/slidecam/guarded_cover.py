@@ -26,11 +26,22 @@ every doubly lexical order is one (Lubiw, 1987). A grid graph is bipartite
 (chords of one orientation never meet) and chordal bipartite (a maximal
 chord through a reflex corner of the region that a longer induced cycle
 would bound runs on across it, since P has no holes). The domination matrix
-of a bipartite graph is two disjoint copies of its biadjacency matrix, one
-per colour class, so it is totally balanced, and one pass over the whole
-graph answers both classes at once.
+of a bipartite graph with colour classes A and B is two disjoint blocks:
+the biadjacency block X, rows A against columns B, and its transpose, rows
+B against columns A. Only X is ordered. A Γ's three 1s share a row and a
+column, so all four of its cells lie in one block, and transposing maps a
+Γ to a Γ, so X^T is Γ-free in X's order with rows and columns swapped. The
+whole matrix takes rows A then B and columns B then A, in X's orders, and
+its keys are X's keys shifted past the other block. It is Γ-free exactly
+when X is, and X is totally balanced exactly when the whole matrix is, so
+the greedy pass, the rebuild and the optimum they give do not change; the
+sorts and the Γ check run on half the rows, columns and 1s. A graph with an
+odd cycle is not ordered at all: its shortest odd cycle is induced, and
+the rows and columns of an induced odd cycle of length L hold an L x L
+cycle submatrix, so no order is Γ-free and the search takes it in index
+order.
 
-The order comes from alternating two stable sorts until neither moves
+The order of X comes from alternating two stable sorts until neither moves
 anything: rows ascending as binary numbers whose digits are the columns,
 the last column most significant, then columns the same way over the rows.
 Read row by row from its bottom-right corner, the matrix is
@@ -46,8 +57,8 @@ costs O(picks) big-int steps, not a walk over every row.
 
 Where a Γ remains (an odd cycle, or a bipartite graph that is not chordal,
 reachable only through the public API) the same question goes to an
-exhaustive search on the same masks. It branches on the undominated row
-with the fewest allowed columns, and the size of an optimum comes from
+exhaustive search on the matrix's masks. It branches on the undominated
+row with the fewest allowed columns, and the size of an optimum comes from
 iterative deepening. One optimal_covers call may spend at most
 SEARCH_NODES nodes of that search and raises TooLarge past them. Deepening
 to size k spends at least k nodes per size, so the budget also keeps the
@@ -117,42 +128,91 @@ def _greedy(row_keys, col_keys, undominated: int, allowed: int, left: int) -> in
     return count
 
 
-def _doubly_lexical_order(nbrs: dict[int, list[int]]) -> tuple[list, list, dict, dict, bool]:
-    """Rows and columns of the domination matrix in a doubly lexical
-    order, with the final sort keys and whether that order is Γ-free.
+def _two_colouring(nbrs: dict[int, list[int]]) -> dict[int, int] | None:
+    """0 or 1 per node, neighbours apart, each component breadth first
+    from its smallest node, which gets 0; None if an odd cycle forbids it."""
+    colour: dict[int, int] = {}
+    for s in nbrs:
+        if s in colour:
+            continue
+        colour[s] = 0
+        todo = [s]
+        for v in todo:
+            c = 1 - colour[v]
+            for u in nbrs[v]:
+                if u not in colour:
+                    colour[u] = c
+                    todo.append(u)
+                elif colour[u] != c:
+                    return None
+    return colour
 
-    Returns (rows, cols, row_key, col_key, gamma_free). row_key[v] is v's
-    neighbours as column-order bits (bit p for cols[p]) and col_key[u] is
-    u's neighbours as row-order bits (bit p for rows[p]).
+
+def _block_order(nbrs: dict[int, list[int]], rows: list[int], cols: list[int]):
+    """rows and cols, the two sides of a biadjacency block, in a doubly
+    lexical order, with the final sort keys: row_key[v] is v's neighbours
+    as column-order bits, col_key[u] is u's as row-order bits.
+
+    Returns (rows, cols, row_key, col_key).
     """
 
-    def keys(order: list[int]) -> dict[int, int]:
+    def keys(nodes: list[int], order: list[int]) -> dict[int, int]:
         # each node's neighbors as a binary number, digit p for order[p]
         digit = {u: 1 << p for p, u in enumerate(order)}
-        return {v: sum(map(digit.__getitem__, nbrs[v])) for v in nbrs}
+        return {v: sum(map(digit.__getitem__, nbrs[v])) for v in nodes}
 
-    rows, cols = list(nbrs), list(nbrs)
     moved = True
     while moved:
         # once the cols stay put, the rows just sorted against them do too
-        row_key = keys(cols)
+        row_key = keys(rows, cols)
         rows = sorted(rows, key=row_key.__getitem__)
-        col_key = keys(rows)
+        col_key = keys(cols, rows)
         new_cols = sorted(cols, key=col_key.__getitem__)
         moved = new_cols != cols
         cols = new_cols
-    # Γ-free: per column, each two consecutive rows holding it are nested
-    # in the columns after it. A column's rows come lowest bit first.
-    for p, u in enumerate(cols):
-        held, a = col_key[u], 0
+    return rows, cols, row_key, col_key
+
+
+def _gamma_free(row_keys: list[int], col_keys: list[int]) -> bool:
+    """Does the matrix with these row and column keys hold no Γ? Per
+    column, each two consecutive rows holding it must be nested in the
+    columns after it. A column's rows come lowest bit first."""
+    for p, held in enumerate(col_keys):
+        a = 0
         while held:
             low = held & -held
             held ^= low
-            b = row_key[rows[low.bit_length() - 1]]
+            b = row_keys[low.bit_length() - 1]
             if (a & ~b) >> (p + 1):
-                return rows, cols, row_key, col_key, False
+                return False
             a = b
-    return rows, cols, row_key, col_key, True
+    return True
+
+
+def _domination_matrix(nbrs: dict[int, list[int]]) -> tuple[list, list, list, list, bool]:
+    """The domination matrix of the nodes in nbrs (each with a neighbour),
+    ordered, and whether that order is Γ-free.
+
+    Returns (rows, cols, row_keys, col_keys, gamma_free): the nodes at
+    each row and column position, each row's columns as column-position
+    bits and each column's rows as row-position bits. A bipartite graph is
+    ordered by its biadjacency block, rows by colour then columns the other
+    way round (see the module docstring); any other graph keeps index order.
+    """
+    colour = _two_colouring(nbrs)
+    if colour is None:
+        # An odd cycle: no order is Γ-free, and the search takes any.
+        bit = {v: 1 << p for p, v in enumerate(nbrs)}
+        keys = [sum(map(bit.__getitem__, vs)) for vs in nbrs.values()]
+        return list(nbrs), list(nbrs), keys, keys, False
+    a, b, a_key, b_key = _block_order(
+        nbrs, [v for v in nbrs if not colour[v]], [v for v in nbrs if colour[v]]
+    )
+    a_keys = [a_key[v] for v in a]
+    b_keys = [b_key[u] for u in b]
+    row_keys = a_keys + [k << len(b) for k in b_keys]
+    col_keys = b_keys + [k << len(a) for k in a_keys]
+    return a + b, b + a, row_keys, col_keys, _gamma_free(a_keys, b_keys)
 
 
 def optimal_covers(graph: IntersectionGraph):
@@ -168,19 +228,17 @@ def optimal_covers(graph: IntersectionGraph):
     if n == 0:
         yield ()
         return
-    adj = graph.neighbor_masks()
-    isolated = [v for v in range(n) if adj[v] == 0]
-    rest = [v for v in range(n) if adj[v] != 0]
-    if not rest:
+    lists: list[list[int]] = [[] for _ in range(n)]
+    for i, j in graph.edges:
+        lists[i].append(j)
+        lists[j].append(i)
+    isolated = [v for v in range(n) if not lists[v]]
+    nbrs = {v: vs for v, vs in enumerate(lists) if vs}
+    if not nbrs:
         yield tuple(isolated)
         return
-    nbrs: dict[int, list[int]] = {v: [] for v in rest}
-    for i, j in graph.edges:
-        nbrs[i].append(j)
-        nbrs[j].append(i)
-    rows, cols, row_key, col_key, gamma_free = _doubly_lexical_order(nbrs)
-    row_keys = [row_key[v] for v in rows]
-    col_keys = [col_key[u] for u in cols]
+    rest = list(nbrs)
+    rows, cols, row_keys, col_keys, gamma_free = _domination_matrix(nbrs)
     start, everything = (1 << len(rows)) - 1, (1 << len(cols)) - 1
     if gamma_free:
 
@@ -196,6 +254,7 @@ def optimal_covers(graph: IntersectionGraph):
 
     # After picking rest[t], the picks may come from after[t]: the columns
     # of rest[t+1:]. The walk keeps (t, state before the pick) per pick.
+    col_key = dict(zip(cols, col_keys))
     col_bit = {u: 1 << p for p, u in enumerate(cols)}
     after = [0] * len(rest)
     for t in range(len(rest) - 1, 0, -1):

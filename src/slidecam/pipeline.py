@@ -50,6 +50,7 @@ class RunStats:
     reflex_count: int
     chord_count: int
     grid_size: int
+    edge_count: int
     cover_size: int
     critical_count: int
     patch_size: int
@@ -130,6 +131,7 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
         reflex_count=len(reflex),
         chord_count=len(chords),
         grid_size=len(grid),
+        edge_count=len(graph.edges),
         cover_size=len(cover_segments),
         critical_count=len(regions),
         patch_size=len(patch_segments),

@@ -36,6 +36,7 @@ def test_solve_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "total_cameras: 3" in out
     assert "grid_tracks: 4" in out
+    assert "grid_edges: 4" in out
     assert "critical_regions: 1" in out
     assert "patch_tracks: 1" in out
     # the final coverage check is timed after the pipeline's phases

@@ -205,14 +205,25 @@ def random_raw_segments(rng):
 
 
 def test_intersection_graph_matches_all_pairs(corpus):
+    """A Grid's graph comes from one crossing pass, a raw list's from the
+    touching-pairs sweep; both must equal the all-pairs graph, on pruned
+    grids, on the unpruned reflex chords and on those shuffled."""
     rng = random.Random(13)
     polygons = [P for _seed, P in corpus[:300]]
-    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 6)]
+    polygons += [sc.generate_polygon(seed, 240) for seed in range(1, 11)]
+    for F in (comb_polygon(12), serpentine_polygon(12), staircase_polygon(16), notched_square(6)):
+        polygons += list(images(F))
     for P in polygons:
         chords = sc.reflex_chords(P)
         grid = sc.guarding_grid(P)
+        unpruned = sc.Grid(tuple(chords), tuple(sc.chord_origins(P)[c] for c in chords))
         shuffled = rng.sample(chords, len(chords))
-        for g, segments in ((grid, grid.segments), (chords, chords), (shuffled, shuffled)):
+        for g, segments in (
+            (grid, grid.segments),
+            (unpruned, chords),
+            (chords, chords),
+            (shuffled, shuffled),
+        ):
             assert sc.intersection_graph(g) == all_pairs_graph(segments), P
     collinear = 0
     for _ in range(3000):
@@ -335,3 +346,20 @@ def test_prune_rejects_chords_not_through_reflex_vertices():
     with pytest.raises(ValueError):
         sc.prune_dominated(P, [*sc.reflex_chords(P), edge])
     assert sc.prune_dominated(P, sc.reflex_chords(P)[:1]).segments == (H(2, 0, 4),)
+
+
+def test_prune_reads_any_listing_of_the_reflex_chords_alike():
+    """reflex_chords' own list skips the lookup of each chord; a tuple, a
+    reordering with repeats and equal copies take the lookup and must
+    prune the same, and a list of the same length with one chord that is
+    not a reflex chord must still raise."""
+    for P in [sc.generate_polygon(seed, 240) for seed in (1, 2)] + [notched_square(6)]:
+        chords = sc.reflex_chords(P)
+        want = sc.prune_dominated(P, chords)
+        copies = [sc.OrthoSegment(c.orientation, c.anchor, c.lo, c.hi) for c in chords]
+        for listing in (tuple(chords), chords[::-1] + chords[:3], copies):
+            assert sc.prune_dominated(P, listing) == want
+        lowest = min(P.vertices, key=lambda v: (v.y, v.x))
+        edge = sc.max_chord(P, lowest, sc.HORIZONTAL)
+        with pytest.raises(ValueError):
+            sc.prune_dominated(P, [edge, *chords[1:]])

@@ -12,7 +12,9 @@ import pytest
 
 import brute
 import slidecam as sc
-from slidecam.guarded_cover import _doubly_lexical_order, _search
+from conftest import notched_square, serpentine_polygon
+from slidecam import guarded_cover
+from slidecam.guarded_cover import _domination_matrix, _search
 
 
 def graph_of(n, edges):
@@ -167,15 +169,70 @@ def long_cycle_bigraph(rng, n):
     return [tuple(sorted(e)) for e in edges]
 
 
+def odd_cycle_graph(rng, n):
+    """Edges of an odd cycle of 3 or more of n >= 3 shuffled nodes, the
+    other nodes hung on it as a random forest, and a few random chords:
+    never bipartite."""
+    nodes = list(range(n))
+    rng.shuffle(nodes)
+    size = rng.randrange(3, n + 1, 2)
+    edges = {(nodes[i], nodes[(i + 1) % size]) for i in range(size)}
+    edges |= {(nodes[i], nodes[rng.randrange(i)]) for i in range(size, n)}
+    for _ in range(rng.randint(0, n)):
+        i, j = rng.sample(nodes, 2)
+        edges.add((i, j))
+    return sorted({tuple(sorted(e)) for e in edges})
+
+
 def neighbor_lists(graph):
     masks = graph.neighbor_masks()
     return {v: [u for u in range(graph.n) if (m >> u) & 1] for v, m in enumerate(masks) if m}
 
 
+def doubly_lexical_order(nbrs):
+    """The reference order: the whole domination matrix, rows and columns
+    alike, in a doubly lexical order by alternating stable sorts, with the
+    final sort keys and whether that order is Γ-free. The solver orders
+    only a bipartite graph's biadjacency block instead.
+
+    Returns (rows, cols, row_key, col_key, gamma_free). row_key[v] is v's
+    neighbours as column-order bits (bit p for cols[p]) and col_key[u] is
+    u's neighbours as row-order bits (bit p for rows[p]).
+    """
+
+    def keys(order):
+        # each node's neighbors as a binary number, digit p for order[p]
+        digit = {u: 1 << p for p, u in enumerate(order)}
+        return {v: sum(map(digit.__getitem__, nbrs[v])) for v in nbrs}
+
+    rows, cols = list(nbrs), list(nbrs)
+    moved = True
+    while moved:
+        # once the cols stay put, the rows just sorted against them do too
+        row_key = keys(cols)
+        rows = sorted(rows, key=row_key.__getitem__)
+        col_key = keys(rows)
+        new_cols = sorted(cols, key=col_key.__getitem__)
+        moved = new_cols != cols
+        cols = new_cols
+    # Γ-free: per column, each two consecutive rows holding it are nested
+    # in the columns after it. A column's rows come lowest bit first.
+    for p, u in enumerate(cols):
+        held, a = col_key[u], 0
+        while held:
+            low = held & -held
+            held ^= low
+            b = row_key[rows[low.bit_length() - 1]]
+            if (a & ~b) >> (p + 1):
+                return rows, cols, row_key, col_key, False
+            a = b
+    return rows, cols, row_key, col_key, True
+
+
 def takes_greedy_path(graph):
     """Whether optimal_covers answers `graph` by the greedy pass rather
-    than by `_search`: its domination matrix has a Γ-free order."""
-    return _doubly_lexical_order(neighbor_lists(graph))[4]
+    than by `_search`: the solver found a Γ-free order."""
+    return _domination_matrix(neighbor_lists(graph))[4]
 
 
 def test_optima_enumeration_matches_brute_on_bipartite_graphs():
@@ -201,6 +258,42 @@ def test_optima_enumeration_matches_brute_on_bipartite_graphs():
         assert list(sc.optimal_covers(g)) == brute_optima(g), (trial, g.edges)
     assert min(kinds.values()) >= 25, kinds
     assert min(paths.values()) >= 50, paths
+
+
+def test_greedy_path_exactly_where_the_whole_matrix_order_is_gamma_free():
+    """The solver orders a bipartite graph's biadjacency block and sends
+    any other graph straight to the search; either way it must take the
+    greedy pass exactly when the whole matrix's doubly lexical order is
+    Γ-free. An odd cycle never has such an order."""
+    rng = random.Random(31)
+    makers = [random_bipartite, random_tree, interval_point_bigraph, long_cycle_bigraph]
+    makers += [odd_cycle_graph, brute.random_graph]
+    verdicts = {make.__name__: set() for make in makers}
+    for trial in range(1800):
+        make = makers[trial % len(makers)]
+        n = rng.randint(6, 13)
+        if make is brute.random_graph:
+            edges = make(rng, n, rng.uniform(0.1, 0.7))
+        else:
+            edges = make(rng, n)
+        g = graph_of(n, edges)
+        nbrs = neighbor_lists(g)
+        if not nbrs:
+            continue
+        want = doubly_lexical_order(nbrs)[4]
+        assert takes_greedy_path(g) == want, (make.__name__, g.edges)
+        verdicts[make.__name__].add(want)
+        if make is odd_cycle_graph:
+            assert not want, g.edges
+            assert list(sc.optimal_covers(g)) == brute_optima(g), g.edges
+    assert verdicts == {
+        "random_bipartite": {False, True},
+        "random_tree": {True},
+        "interval_point_bigraph": {True},
+        "long_cycle_bigraph": {False},
+        "odd_cycle_graph": {False},
+        "random_graph": {False, True},
+    }
 
 
 def test_solver_matches_brute_on_larger_graphs():
@@ -233,9 +326,8 @@ def reference_covers(graph):
     adj = graph.neighbor_masks()
     isolated = [v for v in range(n) if adj[v] == 0]
     rest = [v for v in range(n) if adj[v]]
-    rows, cols, row_key, col_key, _ = _doubly_lexical_order(neighbor_lists(graph))
-    row_keys = [row_key[v] for v in rows]
-    col_keys = [col_key[u] for u in cols]
+    rows, cols, row_keys, col_keys, _ = _domination_matrix(neighbor_lists(graph))
+    col_key = dict(zip(cols, col_keys))
     col_bit = {u: 1 << p for p, u in enumerate(cols)}
     # the columns of the nodes after rest[t]
     later = [sum(col_bit[u] for u in rest[t + 1 :]) for t in range(len(rest))]
@@ -285,7 +377,7 @@ def per_row_greedy_covers(graph):
     rest = [v for v in range(n) if adj[v]]
     full = sum(1 << v for v in rest)
     nbrs = neighbor_lists(graph)
-    rows, cols = _doubly_lexical_order(nbrs)[:2]
+    rows, cols = _domination_matrix(nbrs)[:2]
     col_pos = {u: p for p, u in enumerate(cols)}
     choices = {v: sorted(nbrs[v], key=col_pos.__getitem__, reverse=True) for v in rest}
 
@@ -419,7 +511,7 @@ def test_pipeline_cover_certified_by_a_packing(seed, n):
     adj = g.neighbor_masks()
     assert sc.is_guarded_cover(g, run.chosen)
     nbrs = neighbor_lists(g)
-    rows, cols = _doubly_lexical_order(nbrs)[:2]
+    rows, cols = _domination_matrix(nbrs)[:2]
     col_pos = {u: p for p, u in enumerate(cols)}
     # the targets where the greedy pass picks
     packing = []
@@ -431,3 +523,44 @@ def test_pipeline_cover_certified_by_a_packing(seed, n):
             packing.append(v)
             dominated |= adj[max(nbrs[v], key=col_pos.__getitem__)]
     assert len(run.chosen) - adj.count(0) == len(packing) > 0
+
+
+def greedy_calls(monkeypatch, graph):
+    """How many times optimal_covers runs the greedy pass up to its first
+    optimum, and that optimum's size."""
+    calls = 0
+    greedy = guarded_cover._greedy
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return greedy(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(guarded_cover, "_greedy", counted)
+        first = next(sc.optimal_covers(graph))
+    return calls, len(first)
+
+
+def test_first_optimum_tries_no_candidate_twice(monkeypatch):
+    """The rebuild tests each candidate once on its way to the first
+    optimum: at most one greedy pass per node with a neighbour, plus the
+    one that finds the optimum's size. The pinned counts depend on the
+    graph alone, since every size question has one exact answer."""
+    pinned = [
+        (serpentine_polygon(250), 500, 250),
+        (serpentine_polygon(500), 1000, 500),
+        (notched_square(25), 53, None),
+        (notched_square(100), 203, None),
+        (sc.generate_polygon(1, 240), 44, None),
+    ]
+    pinned += [(sc.generate_polygon(seed, 240), None, None) for seed in range(2, 11)]
+    for P, want_calls, want_k in pinned:
+        g = grid_graph(P)
+        assert takes_greedy_path(g)
+        calls, k = greedy_calls(monkeypatch, g)
+        assert calls <= g.n - g.neighbor_masks().count(0) + 1, P.n
+        if want_calls is not None:
+            assert calls == want_calls, P.n
+        if want_k is not None:
+            assert k == want_k, P.n

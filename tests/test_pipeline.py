@@ -88,7 +88,7 @@ def test_run_stats():
     run = sc.run_pipeline(P)
     s = run.stats
     assert s.vertex_count == 18 and s.reflex_count == 7
-    assert s.chord_count == 8 and s.grid_size == 4
+    assert s.chord_count == 8 and s.grid_size == 4 and s.edge_count == 4
     assert s.cover_size == 2 and s.critical_count == 1 and s.patch_size == 1
     assert set(s.phase_seconds) == {"chords", "prune", "graph", "cover", "patch"}
     assert all(t >= 0 for t in s.phase_seconds.values())
