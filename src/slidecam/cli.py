@@ -95,8 +95,8 @@ def cmd_verify(args) -> int:
     run = run_pipeline(P)
     found = checked_cover(run)
     guarded = watched_cover(P, found)
-    track_cap = args.cap or TRACK_CAP
-    node_cap = args.cap or NODE_CAP
+    track_cap = TRACK_CAP if args.cap is None else args.cap
+    node_cap = NODE_CAP if args.cap is None else args.cap
 
     failures = []
     skipped = []
@@ -180,9 +180,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("file")
     p_verify.add_argument("--strict", action="store_true",
                           help="fail when an oracle cap is exceeded")
-    p_verify.add_argument("--cap", type=int, default=0,
+    p_verify.add_argument("--cap", type=int,
                           help="override the oracle size caps (default: "
-                          f"{TRACK_CAP} candidate tracks, {NODE_CAP} grid nodes)")
+                          f"{TRACK_CAP} candidate tracks, {NODE_CAP} grid nodes); "
+                          "0 skips every oracle, except on a rectangle, where "
+                          "they have nothing to enumerate")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -196,7 +198,7 @@ def main(argv=None) -> int:
         PARSER.error("--seed must not be negative")
     if args.func is cmd_gen and (args.vertices < 4 or args.vertices % 2):
         PARSER.error("--vertices must be even and at least 4")
-    if args.func is cmd_verify and args.cap < 0:
+    if args.func is cmd_verify and args.cap is not None and args.cap < 0:
         PARSER.error("--cap must not be negative")
     try:
         return args.func(args)

@@ -3,7 +3,10 @@
 Covering the guarding grid does not always cover the polygon: pockets can
 remain that no chosen track sees. The patch is a minimum edge cover on a
 graph of the connected leftover pieces whose edges say "one grid track sees
-both whole"; a piece no track shares with another gets a loop.
+both whole"; a piece no track shares with another gets a loop. This module
+builds that graph (build_region_graph) and turns the chosen edges back into
+tracks (guards_from_cover); the cover itself is matching.min_edge_cover on
+the graph's nodes, edges and loops, as run_pipeline calls it.
 
 The patch needs one property of the grid only: some grid track sees each
 leftover piece whole (build_region_graph raises UnguardableRegion where
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import matching
 from .errors import UnguardableRegion
 from .geom import HORIZONTAL, VERTICAL, OrthoPolygon, OrthoSegment
 from .region import RectilinearRegion, region_components
@@ -148,11 +150,6 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     loops = tuple(i for i in range(len(regions)) if i not in linked)
     loop_witness = {i: seers[i][0] for i in loops}
     return RegionGraph(regions, candidates, tuple(edges), witness, loops, loop_witness)
-
-
-def min_edge_cover(g: RegionGraph) -> list[tuple[int, int]]:
-    """Minimum edge cover of the patch instance, loops included."""
-    return matching.min_edge_cover(len(g.regions), g.edges, loops=g.loops)
 
 
 def guards_from_cover(g: RegionGraph, cover) -> list[OrthoSegment]:

@@ -27,10 +27,6 @@ class SelfIntersecting(PolygonError):
     """Boundary touches or crosses itself."""
 
 
-class CollinearRedundantVertex(PolygonError):
-    """A vertex lies in the middle of a straight boundary run (strict mode)."""
-
-
 class PointOutside(SlidecamError):
     """Query point lies outside the polygon."""
 

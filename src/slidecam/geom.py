@@ -11,13 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import (
-    CollinearRedundantVertex,
-    NonOrthogonalEdge,
-    NotClosed,
-    PointOutside,
-    SelfIntersecting,
-)
+from .errors import NonOrthogonalEdge, NotClosed, PointOutside, SelfIntersecting
 
 HORIZONTAL = "H"
 VERTICAL = "V"
@@ -262,21 +256,20 @@ def _as_points(vertices) -> list[Point]:
     return pts
 
 
-def validate_polygon(vertices, collinear: str = "normalize") -> OrthoPolygon:
+def validate_polygon(vertices) -> OrthoPolygon:
     """Check and normalize a vertex list into an OrthoPolygon.
 
     Accepts Points or (x, y) pairs, in either rotation order, optionally with
     the first vertex repeated at the end. The result is counterclockwise with
-    no collinear redundant vertices. With collinear="reject" a redundant
-    vertex raises CollinearRedundantVertex instead of being dropped.
+    no collinear redundant vertices: a vertex in the middle of a straight
+    boundary run is dropped, so the result has fewer vertices than the input
+    (less a repeated first vertex) exactly when the input had such vertices.
 
     Raises NotClosed, NonOrthogonalEdge or SelfIntersecting on bad input.
     Edges that touch, other than consecutive ones at their shared vertex,
     are found by _touching_pairs' sweep, run on each edge's (orientation,
     anchor, lo, hi) tuple, so no OrthoSegment is built.
     """
-    if collinear not in ("normalize", "reject"):
-        raise ValueError("collinear must be 'normalize' or 'reject'")
     pts = _as_points(vertices)
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts = pts[:-1]
@@ -303,8 +296,6 @@ def validate_polygon(vertices, collinear: str = "normalize") -> OrthoPolygon:
             continue
         if (b.x - a.x) * (c.x - b.x) < 0 or (b.y - a.y) * (c.y - b.y) < 0:
             raise SelfIntersecting(f"boundary doubles back at {b}")
-        if collinear == "reject":
-            raise CollinearRedundantVertex(f"redundant vertex {b}")
         if len(kept) + n - 1 - i < 4:
             raise NotClosed("polygon degenerates after removing redundant vertices")
     pts = kept

@@ -8,6 +8,8 @@ horizontal sees more would disconnect the grid (the survivors can end up
 as parallel tracks that never touch), and connectedness is what the cover
 solver's guardedness leans on. The survivors still cover the whole
 polygon, and their pairwise crossings form the graph the solver works on.
+The guarding grid of P is prune_dominated(P, reflex_chords(P)), the Grid
+that run_pipeline builds and keeps on its result.
 
 The prune never builds a visible set. A camera sees a point exactly when
 the perpendicular from the point to the track lies in P, so for two
@@ -231,11 +233,6 @@ def _undominated(group: list[OrthoSegment], clearance: list[tuple[int, int]]) ->
         else:
             kept.append(i)
     return kept
-
-
-def guarding_grid(P: OrthoPolygon) -> Grid:
-    """Convenience: reflex chords with the domination prune applied."""
-    return prune_dominated(P, reflex_chords(P))
 
 
 def _segments_of(g) -> tuple[OrthoSegment, ...]:

@@ -8,7 +8,8 @@ sets exactly when their canonical rect tuples are equal, so regions can be
 hashed and compared directly.
 
 Two private pieces carry the algebra: _slabs gives each slab's merged
-closed y-intervals (from_rects is built on it), and _overlay walks the
+closed y-intervals (from_rects is built on it, and so is region_union_all,
+the one union entry, for any number of regions), and _overlay walks the
 joint slabs of two regions, keeping each positive-length y-piece of the
 first whose membership in the second matches a flag (out of it for
 difference, in it for intersection). _slabs looks each rect's x0 and x1 up
@@ -83,10 +84,6 @@ def from_rects(rects) -> RectilinearRegion:
             merged.append((x0, x1, ivs))
     out = tuple((x0, x1, y0, y1) for x0, x1, ivs in merged for y0, y1 in ivs)
     return RectilinearRegion(out)
-
-
-def region_union(a: RectilinearRegion, b: RectilinearRegion) -> RectilinearRegion:
-    return from_rects(a.rects + b.rects)
 
 
 def region_union_all(regions) -> RectilinearRegion:

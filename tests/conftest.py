@@ -8,6 +8,7 @@ polygon dark (the 2x1 ear on the upper right), which is what the patching
 stage exists for.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -94,6 +95,25 @@ def notched_square(k: int):
     for i in reversed(range(k)):
         verts += [(0, 4 * i + 3), (1, 4 * i + 3), (1, 4 * i + 2), (0, 4 * i + 2)]
     return sc.validate_polygon(verts)
+
+
+def xmonotone_polygon(seed: int, width: int, height: int):
+    """An x-monotone polygon in a width x height box: each unit column holds
+    one random interval of cells, sharing at least one cell row with the
+    column before it; at most 4*width vertices."""
+    rng = random.Random(seed)
+    cells = set()
+    prev = (0, height)
+    for x in range(width):
+        lo, hi = rng.choice([
+            (lo, hi)
+            for lo in range(height)
+            for hi in range(lo + 1, height + 1)
+            if lo < prev[1] and prev[0] < hi
+        ])
+        cells |= {(x, y) for y in range(lo, hi)}
+        prev = (lo, hi)
+    return sc.validate_polygon(_trace(cells))
 
 
 def images(P):

@@ -84,6 +84,20 @@ def test_verify_strict_cap(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_cap_zero_skips_every_oracle(capsys):
+    path = str(Path(__file__).parent / "data" / "nonstaircase_36.poly")
+    skips = (
+        "cover_bound: skipped (11 candidate tracks exceed the cap of 0)\n"
+        "guarded_bound: skipped (11 candidate tracks exceed the cap of 0)\n"
+        "chain: skipped (11 nodes exceed the cap of 0)\n"
+        "patch_bound: skipped (11 candidate tracks exceed the cap of 0)\n"
+    )
+    assert main(["verify", "--cap", "0", "--strict", path]) == 4
+    assert capsys.readouterr().out == skips
+    assert main(["verify", "--cap", "0", path]) == 0
+    assert capsys.readouterr().out == skips + "ok\n"
+
+
 def test_solve_and_verify_where_no_optimum_leaves_only_staircases(capsys):
     # The 36-vertex polygon's only grid optimum leaves a non-staircase
     # piece, and none of the first 5,000 optima of the 3000-vertex one

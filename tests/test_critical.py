@@ -201,11 +201,9 @@ def test_guards_from_cover_deduplicates():
         loops=(2,),
         loop_witness={2: 1},
     )
-    from slidecam.critical import guards_from_cover, min_edge_cover
-
-    cover = min_edge_cover(g)
+    cover = sc.min_edge_cover(len(g.regions), g.edges, loops=g.loops)
     assert sorted(cover) == [(0, 1), (2, 2)]
-    assert guards_from_cover(g, cover) == [V(1, 0, 2)]
+    assert sc.guards_from_cover(g, cover) == [V(1, 0, 2)]
 
 
 def test_at_most_two_regions_per_track_on_sample(corpus_runs):
@@ -331,7 +329,7 @@ def test_piece_clearance_matches_guards_entirely():
     seen = {sc.HORIZONTAL: set(), sc.VERTICAL: set()}
     pairs = 0
     for P in polygons:
-        segments = sc.guarding_grid(P).segments
+        segments = sc.prune_dominated(P, sc.reflex_chords(P)).segments
         for _ in range(4):
             keep = rng.random()
             chosen = [s for s in segments if rng.random() < keep]

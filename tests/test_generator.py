@@ -21,7 +21,7 @@ def test_output_is_valid_simple_polygon():
     for seed in range(1, 120):
         P = sc.generate_polygon(seed, corpus_target(seed))
         verts = [(p.x, p.y) for p in P.vertices]
-        assert sc.validate_polygon(verts, collinear="reject") == P, seed
+        assert sc.validate_polygon(verts) == P, seed
 
 
 def test_vertex_count_hits_target():

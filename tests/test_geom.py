@@ -50,11 +50,9 @@ def test_validate_normalizes_collinear_vertices():
     verts = [(0, 0), (2, 0), (4, 0), (4, 3), (0, 3)]
     P = sc.validate_polygon(verts)
     assert P.n == 4
-    with pytest.raises(sc.CollinearRedundantVertex):
-        sc.validate_polygon(verts, collinear="reject")
 
 
-def reference_merge(pts, collinear):
+def reference_merge(pts):
     """validate_polygon's straight-run merge as it was: rescan after each drop."""
     pts = list(pts)
     changed = True
@@ -68,8 +66,6 @@ def reference_merge(pts, collinear):
             if (d1[0] == 0) == (d2[0] == 0):
                 if d1[0] * d2[0] < 0 or d1[1] * d2[1] < 0:
                     raise sc.SelfIntersecting(f"boundary doubles back at {b}")
-                if collinear == "reject":
-                    raise sc.CollinearRedundantVertex(f"redundant vertex {b}")
                 del pts[i]
                 changed = True
                 break
@@ -120,16 +116,11 @@ def test_one_pass_merge_matches_rescan_reference():
         pts = [sc.Point(x, y) for x, y in verts]
         if pts[0] == pts[-1]:
             continue
-        for collinear in ("normalize", "reject"):
-            want = outcome(
-                lambda: sc.validate_polygon(reference_merge(pts, collinear), collinear)
-            )
-            assert outcome(sc.validate_polygon, verts, collinear) == want, verts
-            kinds.add(want[0] if isinstance(want[0], type) else "ok")
+        want = outcome(lambda: sc.validate_polygon(reference_merge(pts)))
+        assert outcome(sc.validate_polygon, verts) == want, verts
+        kinds.add(want[0] if isinstance(want[0], type) else "ok")
     assert outcome(sc.validate_polygon, inputs[0])[0] is sc.NotClosed
-    assert kinds == {
-        "ok", sc.SelfIntersecting, sc.NotClosed, sc.CollinearRedundantVertex
-    }
+    assert kinds == {"ok", sc.SelfIntersecting, sc.NotClosed}
 
 
 def test_validate_accepts_clockwise_input():

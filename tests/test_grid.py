@@ -63,14 +63,14 @@ def test_prune_keeps_perpendicular_twins():
     # equal visible sets across orientations are never pruned against
     # each other; dropping one would leave a single-track grid
     P = sc.validate_polygon(LSHAPE)
-    g = sc.guarding_grid(P)
+    g = sc.prune_dominated(P, sc.reflex_chords(P))
     assert [str(s) for s in g.segments] == ["H 2 0 4", "V 2 0 4"]
     assert sc.dominates(P, g.segments[0], g.segments[1])
 
 
 def test_prune_drops_same_orientation_dominated():
     P = sc.validate_polygon(STAIR2)
-    g = sc.guarding_grid(P)
+    g = sc.prune_dominated(P, sc.reflex_chords(P))
     assert [str(s) for s in g.segments] == ["H 2 0 6", "V 4 0 6"]
     # the dropped chords really were dominated within their orientation
     assert sc.dominates(P, H(2, 0, 6), H(4, 2, 6))
@@ -79,7 +79,7 @@ def test_prune_drops_same_orientation_dominated():
 
 def test_prune_on_ear():
     P = sc.validate_polygon(EAR)
-    g = sc.guarding_grid(P)
+    g = sc.prune_dominated(P, sc.reflex_chords(P))
     assert [str(s) for s in g.segments] == ["H 2 0 5", "H 3 0 6", "V 1 1 3", "V 3 0 5"]
 
 
@@ -94,7 +94,7 @@ def test_prune_preserves_visible_union():
 def test_survivors_form_antichain_per_orientation():
     for seed in range(1, 80):
         P = sc.generate_polygon(seed, corpus_target(seed))
-        g = sc.guarding_grid(P)
+        g = sc.prune_dominated(P, sc.reflex_chords(P))
         for a in g.segments:
             for b in g.segments:
                 if a is not b and a.orientation == b.orientation:
@@ -104,7 +104,7 @@ def test_survivors_form_antichain_per_orientation():
 def test_grid_origins_cover_all_reflex_vertices():
     for seed in range(1, 40):
         P = sc.generate_polygon(seed, corpus_target(seed))
-        g = sc.guarding_grid(P)
+        g = sc.prune_dominated(P, sc.reflex_chords(P))
         assert len(g.origins) == len(g.segments)
         for s, vs in zip(g.segments, g.origins):
             for v in vs:
@@ -113,7 +113,7 @@ def test_grid_origins_cover_all_reflex_vertices():
 
 def test_intersection_graph_plus():
     P = sc.validate_polygon(PLUS)
-    g = sc.guarding_grid(P)
+    g = sc.prune_dominated(P, sc.reflex_chords(P))
     assert [str(s) for s in g.segments] == ["H 1 0 3", "V 1 0 3"]
     assert sc.intersection_graph(g).edges == ((0, 1),)
 
@@ -129,7 +129,7 @@ def test_intersection_graph_closed_touching():
 
 def test_is_simple_grid():
     P = sc.validate_polygon(LSHAPE)
-    assert sc.is_simple_grid(sc.guarding_grid(P), P)
+    assert sc.is_simple_grid(sc.prune_dominated(P, sc.reflex_chords(P)), P)
     # a track stopping mid-polygon is not a maximal chord
     assert not sc.is_simple_grid([H(1, 0, 3)], P)
 
@@ -145,7 +145,7 @@ def test_is_connected():
 def test_grid_simple_and_connected_on_sample():
     for seed in range(1, 80):
         P = sc.generate_polygon(seed, corpus_target(seed))
-        g = sc.guarding_grid(P)
+        g = sc.prune_dominated(P, sc.reflex_chords(P))
         assert sc.is_simple_grid(g, P), seed
         assert sc.is_connected(g), seed
 
@@ -215,7 +215,7 @@ def test_intersection_graph_matches_all_pairs(corpus):
         polygons += list(images(F))
     for P in polygons:
         chords = sc.reflex_chords(P)
-        grid = sc.guarding_grid(P)
+        grid = sc.prune_dominated(P, sc.reflex_chords(P))
         unpruned = sc.Grid(tuple(chords), tuple(sc.chord_origins(P)[c] for c in chords))
         shuffled = rng.sample(chords, len(chords))
         for g, segments in (

@@ -24,6 +24,7 @@ from conftest import (
     notched_square,
     serpentine_polygon,
     staircase_polygon,
+    xmonotone_polygon,
 )
 
 H = sc.OrthoSegment.horizontal
@@ -81,6 +82,24 @@ def test_ear_run_patches_the_leftover():
     assert [str(c) for c in gs.cameras] == ["H 2 0 5", "H 3 0 6", "V 1 1 3"]
     assert gs.provenance == (sc.FROM_S, sc.FROM_SC, sc.FROM_S)
     assert sc.covers_polygon(P, gs.cameras)
+
+
+def test_patch_looks_the_edge_cover_up_when_it_runs(monkeypatch):
+    # the benchmark's tracer wraps slidecam.matching.min_edge_cover after
+    # import, so the pipeline must reach it through the module attribute
+    from slidecam import matching
+
+    calls = []
+    real = matching.min_edge_cover
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "min_edge_cover", counted)
+    run = sc.run_pipeline(sc.validate_polygon(EAR))
+    assert len(calls) == 1
+    assert [str(s) for s in run.patch_segments] == ["H 3 0 6"]
 
 
 def test_run_stats():
@@ -312,6 +331,22 @@ def test_oracles_on_the_non_staircase_fixture():
     P = sc.parse_polygon((DATA / "nonstaircase_36.poly").read_text())
     assert sc.opt_cameras(P)[0] == 4
     assert sc.opt_guarded_cameras(P)[0] == 5
+
+
+def test_xmonotone_covers_within_the_bounds():
+    # x-monotone polygons in a 6x6 box (at most 24 vertices): a family on
+    # which camera_cover meets the optimum far less often than on the
+    # corpus, so the bounds are checked against the oracles on each.
+    for seed in range(1, 201):
+        P = xmonotone_polygon(seed, 6, 6)
+        run = sc.run_pipeline(P)
+        assert sc.is_simple_grid(run.grid, P) and sc.is_connected(run.graph), seed
+        cover = sc.camera_cover(P)
+        guarded = sc.guarded_camera_cover(P)
+        assert sc.camera_cover(P).cameras == cover.cameras, seed
+        assert sc.guarded_camera_cover(P).cameras == guarded.cameras, seed
+        assert 2 * len(cover.cameras) <= 7 * sc.opt_cameras(P)[0], seed
+        assert 2 * len(guarded.cameras) <= 5 * sc.opt_guarded_cameras(P)[0], seed
 
 
 def test_grid_and_cover_sizes_agree_on_all_eight_images(corpus):

@@ -62,7 +62,7 @@ def test_canonical_form(rs):
 @given(rects_st, rects_st)
 def test_union_intersection_difference(rs, ss):
     a, b = sc.from_rects(rs), sc.from_rects(ss)
-    assert region_cell_set(sc.region_union(a, b)) == cells(rs) | cells(ss)
+    assert region_cell_set(sc.region_union_all([a, b])) == cells(rs) | cells(ss)
     assert region_cell_set(sc.region_intersection(a, b)) == cells(rs) & cells(ss)
     assert region_cell_set(sc.region_difference(a, b)) == cells(rs) - cells(ss)
 
@@ -149,7 +149,7 @@ def test_algebra_matches_cell_model_on_pipeline_inputs(corpus):
         assert region_cell_set(sc.from_rects(joined)) == cells(joined)
         for a, b in zip(regions, regions[1:] + regions[:1]):
             ca, cb = region_cell_set(a), region_cell_set(b)
-            assert sc.region_union(a, b) == from_cells(ca | cb)
+            assert sc.region_union_all([a, b]) == from_cells(ca | cb)
             assert sc.region_difference(a, b) == from_cells(ca - cb)
             assert sc.region_intersection(a, b) == from_cells(ca & cb)
             assert sc.region_contains(a, b) == (cb <= ca)

@@ -99,8 +99,8 @@ def test_covers_polygon_and_visible_union():
     assert not sc.covers_polygon(P, [H(3, 0, 2)])
     assert sc.covers_polygon(P, [H(3, 0, 2), H(0, 2, 4)])
     u = sc.visible_union(P, [H(3, 0, 2), H(0, 2, 4)])
-    both = sc.region_union(
-        sc.camera_visibility(P, H(3, 0, 2)), sc.camera_visibility(P, H(0, 2, 4))
+    both = sc.region_union_all(
+        [sc.camera_visibility(P, H(3, 0, 2)), sc.camera_visibility(P, H(0, 2, 4))]
     )
     assert u == both
 
