@@ -27,7 +27,10 @@ def main() -> None:
 
     run = sc.run_pipeline(P)
     print(f"\npruned grid ({len(run.grid.segments)} tracks):")
-    for s, origins in zip(run.grid.segments, run.grid.origins):
+    reflex = sc.reflex_vertices(P)
+    for s in run.grid.segments:
+        # A reflex vertex on a maximal chord has that chord as its own.
+        origins = sorted(v for v in reflex if s.contains(v))
         pts = ", ".join(f"({p.x},{p.y})" for p in origins)
         print(f"  {s}   from reflex {pts}")
 

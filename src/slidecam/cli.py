@@ -7,6 +7,11 @@ input (or, for gen, a vertex count the generator gave up on), 3 an internal
 check failed or an unexpected exception, printed with its traceback, 4 the
 solver's search exceeded its cap (TooLarge) or, under verify --strict, an
 oracle cap was exceeded.
+
+Bad input is a bad argument, a file that cannot be read or written, a
+polygon file that is not UTF-8 (files are read and written as UTF-8 in
+every locale), or one that does not parse or is not a valid polygon. Any
+other exception, a ValueError included, is a bug and exits 3.
 """
 
 from __future__ import annotations
@@ -35,8 +40,16 @@ INTERNAL = 3
 CAP_EXCEEDED = 4
 
 
+def _path(text: str) -> str:
+    # open() raises a bare ValueError on a NUL byte, which main would take
+    # for a bug; no file has such a name, so reject it as a bad argument.
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("path contains a NUL byte")
+    return text
+
+
 def _load(path: str):
-    return parse_polygon(Path(path).read_text())
+    return parse_polygon(Path(path).read_text(encoding="utf-8"))
 
 
 def _report_lines(name: str, run) -> list[str]:
@@ -72,7 +85,7 @@ def cmd_solve(args) -> int:
             print(line)
         print(f"time_check: {check_seconds:.6f}")
     if args.svg:
-        Path(args.svg).write_text(render_run(run))
+        Path(args.svg).write_text(render_run(run), encoding="utf-8")
     if args.check:
         print("coverage: ok")
     return OK
@@ -157,9 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="compute a camera set for a polygon file")
-    p_solve.add_argument("file")
+    p_solve.add_argument("file", type=_path)
     p_solve.add_argument("--report", action="store_true", help="print run statistics")
-    p_solve.add_argument("--svg", metavar="PATH", help="write a rendering")
+    p_solve.add_argument("--svg", metavar="PATH", type=_path, help="write a rendering")
     p_solve.add_argument("--check", action="store_true",
                          help="print 'coverage: ok' (the check always runs)")
     p_solve.set_defaults(func=cmd_solve)
@@ -177,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="check the approximation bounds against brute force"
     )
-    p_verify.add_argument("file")
+    p_verify.add_argument("file", type=_path)
     p_verify.add_argument("--strict", action="store_true",
                           help="fail when an oracle cap is exceeded")
     p_verify.add_argument("--cap", type=int,
@@ -202,7 +215,7 @@ def main(argv=None) -> int:
         PARSER.error("--cap must not be negative")
     try:
         return args.func(args)
-    except (ParseError, PolygonError, OSError, ValueError) as e:
+    except (ParseError, PolygonError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT
     except TooLarge as e:

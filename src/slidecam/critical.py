@@ -86,18 +86,17 @@ def is_staircase(r: RectilinearRegion) -> bool:
 class RegionGraph:
     """Patch instance: which grid tracks see which leftover pieces whole.
 
-    Nodes are piece indices. An edge (i, j) means one track sees both piece
-    i and piece j entirely; edge_witness carries the smallest such track
-    index (into candidates). Pieces no track shares with another get a loop
-    with their own best track in loop_witness.
+    Nodes are piece indices. seers[i] lists, in ascending order, the
+    indices into candidates of the tracks that see piece i entirely. An
+    edge (i, j) means one track sees both piece i and piece j entirely;
+    pieces no track shares with another get a loop.
     """
 
     regions: tuple[RectilinearRegion, ...]
     candidates: tuple[OrthoSegment, ...]
+    seers: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
-    edge_witness: dict[tuple[int, int], int]
     loops: tuple[int, ...]
-    loop_witness: dict[int, int]
 
 
 def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
@@ -117,7 +116,7 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
     """
     regions = tuple(regions)
     candidates = tuple(candidates)
-    seers: list[list[int]] = []
+    seers: list[tuple[int, ...]] = []
     for idx, r in enumerate(regions):
         # Canonical rects run left to right, so the first and last give the
         # x-extent; the y-extent takes a pass.
@@ -125,7 +124,7 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
         y0, y1 = min(rect[2] for rect in r.rects), max(rect[3] for rect in r.rects)
         h_lo, h_hi = _piece_clearance(P, HORIZONTAL, r.rects)
         v_lo, v_hi = _piece_clearance(P, VERTICAL, r.rects)
-        who = [
+        who = tuple(
             k
             for k, s in enumerate(candidates)
             if (
@@ -133,31 +132,26 @@ def build_region_graph(P: OrthoPolygon, regions, candidates) -> RegionGraph:
                 if s.is_vertical
                 else s.lo <= x0 and x1 <= s.hi and h_lo <= 2 * s.anchor <= h_hi
             )
-        ]
+        )
         if not who:
             raise UnguardableRegion(f"no track sees leftover piece {idx} whole")
         seers.append(who)
     sets = [set(w) for w in seers]
     edges = []
-    witness = {}
     for i in range(len(regions)):
         for j in range(i + 1, len(regions)):
-            common = sets[i] & sets[j]
-            if common:
+            if sets[i] & sets[j]:
                 edges.append((i, j))
-                witness[(i, j)] = min(common)
     linked = {v for e in edges for v in e}
     loops = tuple(i for i in range(len(regions)) if i not in linked)
-    loop_witness = {i: seers[i][0] for i in loops}
-    return RegionGraph(regions, candidates, tuple(edges), witness, loops, loop_witness)
+    return RegionGraph(regions, candidates, tuple(seers), tuple(edges), loops)
 
 
 def guards_from_cover(g: RegionGraph, cover) -> list[OrthoSegment]:
-    """Translate chosen cover edges back into camera tracks, deduplicated."""
-    out = set()
-    for i, j in cover:
-        if i == j:
-            out.add(g.candidates[g.loop_witness[i]])
-        else:
-            out.add(g.candidates[g.edge_witness[(min(i, j), max(i, j))]])
-    return sorted(out)
+    """Translate chosen cover edges back into camera tracks, deduplicated.
+
+    Each chosen edge (i, j) gets the smallest track that sees both pieces
+    whole; a loop (i, i) gets piece i's smallest seer."""
+    return sorted(
+        {g.candidates[min(set(g.seers[i]).intersection(g.seers[j]))] for i, j in cover}
+    )

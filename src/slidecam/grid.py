@@ -20,7 +20,7 @@ equivalence against region containment), which is a range check on d's
 anchor against c's clearance (visibility._clearance): the common part of
 c's per-slab chords.
 
-Chords, origins and clearances come from one table per orientation, read
+Chords and clearances come from one table per orientation, read
 straight off P's column and row tables with no point query. A reflex
 vertex lies on an event line of one table, so its chord is the interval of
 that line holding it, and the chord's clearance is climbed off the same
@@ -51,7 +51,6 @@ from .geom import (
     VERTICAL,
     OrthoPolygon,
     OrthoSegment,
-    Point,
     _crossings,
     _interval_at,
     _touching_pairs,
@@ -67,11 +66,9 @@ from .visibility import camera_visibility  # noqa: F401
 @dataclass(frozen=True)
 class Grid:
     """Pruned chord set. segments is sorted and duplicate-free, and no two
-    of one orientation meet; origins[i] lists the reflex vertices whose
-    maximal chord is exactly segments[i]."""
+    of one orientation meet."""
 
     segments: tuple[OrthoSegment, ...]
-    origins: tuple[tuple[Point, ...], ...]
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -99,39 +96,29 @@ def reflex_chords(P: OrthoPolygon) -> list[OrthoSegment]:
     maximal chords would have merged, and non-collinear parallel segments
     are disjoint by definition.
     """
-    return [s for segments, *_ in _chord_table(P) for s in segments]
-
-
-def chord_origins(P: OrthoPolygon) -> dict[OrthoSegment, tuple[Point, ...]]:
-    """Which reflex vertices generate each maximal chord."""
-    return {
-        s: o
-        for segments, origins, *_ in _chord_table(P)
-        for s, o in zip(segments, origins)
-    }
+    return [s for segments, _ in _chord_table(P) for s in segments]
 
 
 def _chord_table(P: OrthoPolygon):
     """The reflex chords of P, one table per orientation, H then V.
 
-    A table is (segments, origins, clearances), aligned and in segment
-    order: each distinct chord, its reflex vertices sorted, and its
-    clearance as _clearance gives it. Cached on P.
+    A table is (segments, clearances), aligned and in segment order: each
+    distinct chord and its clearance as _clearance gives it. Cached on P.
     """
     out = P._cache.get("chord_table")
     if out is None:
         reflex = reflex_vertices(P)
         out = (
-            _frame_chords(P, HORIZONTAL, sorted((v.y, v.x, v) for v in reflex)),
-            _frame_chords(P, VERTICAL, sorted((v.x, v.y, v) for v in reflex)),
+            _frame_chords(P, HORIZONTAL, sorted((v.y, v.x) for v in reflex)),
+            _frame_chords(P, VERTICAL, sorted((v.x, v.y) for v in reflex)),
         )
         P._cache["chord_table"] = out
     return out
 
 
 def _frame_chords(P: OrthoPolygon, orientation: str, points):
-    """The chords of P of `orientation` through points, (anchor, along,
-    origin) triples sorted, as a _chord_table table.
+    """The chords of P of `orientation` through points, (anchor, along)
+    pairs sorted, as a _chord_table table.
 
     A chord lies on an event line of the sections that perpendicular
     tracks see along (P's columns for a vertical chord, its rows for a
@@ -147,13 +134,12 @@ def _frame_chords(P: OrthoPolygon, orientation: str, points):
     """
     across = VERTICAL if orientation == HORIZONTAL else HORIZONTAL
     XS, gaps, events = P._sections(across)
-    segments, origins, clearances = [], [], []
+    segments, clearances = [], []
     last = None
-    for x, y, v in points:
+    for x, y in points:
         i = bisect_left(XS, 2 * x)
         lo, hi = _interval_at(events[i], 2 * y)
         if last == (x, lo):
-            origins[-1].append(v)
             continue
         last = (x, lo)
         up = i
@@ -163,9 +149,8 @@ def _frame_chords(P: OrthoPolygon, orientation: str, points):
         while down and (iv := _interval_at(gaps[down - 1], lo)) and iv[1] >= hi:
             down -= 1
         segments.append(OrthoSegment(orientation, x, lo // 2, hi // 2))
-        origins.append([v])
         clearances.append((XS[down], XS[up]))
-    return segments, [tuple(vs) for vs in origins], clearances
+    return segments, clearances
 
 
 def prune_dominated(P: OrthoPolygon, chords) -> Grid:
@@ -191,18 +176,17 @@ def prune_dominated(P: OrthoPolygon, chords) -> Grid:
     if chords == reflex_chords(P):
         # The whole table, as reflex_chords lists it; the comparison
         # short-circuits on identity, so no chord is hashed.
-        picks = [range(len(segments)) for segments, *_ in tables]
+        picks = [range(len(segments)) for segments, _ in tables]
     else:
         wanted = set(chords)
-        picks = [[k for k, s in enumerate(segments) if s in wanted] for segments, *_ in tables]
+        picks = [[k for k, s in enumerate(segments) if s in wanted] for segments, _ in tables]
         if sum(map(len, picks)) != len(wanted):
             raise ValueError("prune_dominated takes maximal chords through reflex vertices of P")
-    kept, kept_origins = [], []
-    for (segments, origins, clearances), rows in zip(tables, picks):
+    kept = []
+    for (segments, clearances), rows in zip(tables, picks):
         for k in _undominated([segments[k] for k in rows], [clearances[k] for k in rows]):
             kept.append(segments[rows[k]])
-            kept_origins.append(origins[rows[k]])
-    return Grid(tuple(kept), tuple(kept_origins))
+    return Grid(tuple(kept))
 
 
 def _undominated(group: list[OrthoSegment], clearance: list[tuple[int, int]]) -> list[int]:

@@ -61,17 +61,19 @@ class GuardSet:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """Every intermediate artifact, for reports, rendering and tests."""
+    """The artifacts of one solve, for reports, rendering and tests: the
+    polygon, the pruned grid and its intersection graph, the chosen grid
+    nodes and their tracks, the leftover pieces with their patch graph
+    (None when the grid cover leaves nothing), the patch tracks, and the
+    stats, which count the reflex chords."""
 
     polygon: OrthoPolygon
-    chords: tuple[OrthoSegment, ...]
     grid: Grid
     graph: IntersectionGraph
     chosen: tuple[int, ...]
     cover_segments: tuple[OrthoSegment, ...]
     regions: tuple[RectilinearRegion, ...]
     region_graph: RegionGraph | None
-    cover_edges: tuple[tuple[int, int], ...]
     patch_segments: tuple[OrthoSegment, ...]
     stats: RunStats
 
@@ -92,7 +94,7 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
         mark = now
 
     reflex = reflex_vertices(P)
-    chords = tuple(reflex_chords(P))
+    chords = reflex_chords(P)
     lap("chords")
     grid = prune_dominated(P, chords)
     lap("prune")
@@ -115,11 +117,10 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
         rg = build_region_graph(P, regions, grid.segments)
         # Looked up on the matching module at call time, so a wrapper set
         # there (perfbench/spans.py) sees the call.
-        cover_edges = tuple(matching.min_edge_cover(len(rg.regions), rg.edges, loops=rg.loops))
+        cover_edges = matching.min_edge_cover(len(rg.regions), rg.edges, loops=rg.loops)
         patch_segments = tuple(guards_from_cover(rg, cover_edges))
     else:
         rg = None
-        cover_edges = ()
         patch_segments = ()
     lap("patch")
 
@@ -136,14 +137,12 @@ def run_pipeline(P: OrthoPolygon) -> PipelineRun:
     )
     return PipelineRun(
         polygon=P,
-        chords=chords,
         grid=grid,
         graph=graph,
         chosen=chosen,
         cover_segments=cover_segments,
         regions=regions,
         region_graph=rg,
-        cover_edges=cover_edges,
         patch_segments=patch_segments,
         stats=stats,
     )

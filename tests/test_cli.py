@@ -117,6 +117,28 @@ def test_bad_file_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_undecodable_files_and_nul_paths_are_bad_input(tmp_path, capsys):
+    import pytest
+
+    path = tmp_path / "latin1.poly"
+    path.write_bytes(b"4 # carr\xe9\n0 0\n2 0\n2 2\n0 2\n")
+    for command in ("solve", "verify"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: 'utf-8' codec can't decode")
+    good = str(write_poly(tmp_path, EAR))
+    for argv in (
+        ["solve", good + "\0"],
+        ["verify", good + "\0"],
+        ["solve", good, "--svg", str(tmp_path / "out\0.svg")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "NUL byte" in capsys.readouterr().err
+
+
 def test_gen_rejects_odd_vertex_count(capsys):
     import pytest
 
@@ -224,18 +246,34 @@ def test_unexpected_exceptions_exit_3_with_a_traceback(tmp_path, monkeypatch, ca
     assert "Traceback" in captured.err and "RecursionError" in captured.err
 
 
+def test_an_internal_value_error_exits_3_with_a_traceback(tmp_path, monkeypatch, capsys):
+    # Only the file layer's ValueErrors are bad input; one from the solve is
+    # a bug.
+    def boom(P):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr("slidecam.cli.run_pipeline", boom)
+    for command in ("solve", "verify"):
+        assert main([command, str(Path(__file__).parent / "data" / "nonstaircase_36.poly")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:\n")
+        assert "Traceback" in captured.err and "ValueError: internal bug" in captured.err
+
+
 def test_solve_the_thousand_track_serpentine(capsys):
     path = Path(__file__).parent / "data" / "serpentine_4000.poly"
     assert main(["solve", str(path), "--check"]) == 0
     assert capsys.readouterr().out.endswith("coverage: ok\n")
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, **env):
     """Run a fresh interpreter on args with this checkout's src/ first on
-    its path; returns the finished process."""
+    its path and env added to the environment; returns the finished
+    process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, **env)
     return subprocess.run(
         [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )
@@ -267,3 +305,22 @@ def test_the_module_entry_point_generates_solves_and_verifies(tmp_path):
     verify = run_python(["-m", "slidecam.cli", "verify", "g.poly"], tmp_path)
     assert verify.returncode == 0, verify.stderr
     assert verify.stdout.splitlines()[-1] == "ok"
+
+
+def test_a_utf8_comment_solves_under_the_c_locale(tmp_path, capsys):
+    # Polygon files are UTF-8 whatever the locale's codec, and "#" may start
+    # any text.
+    path = tmp_path / "square.poly"
+    path.write_bytes("4 # carré\n0 0\n2 0\n2 2\n0 2\n".encode("utf-8"))
+    assert main(["solve", str(path)]) == 0
+    want = capsys.readouterr().out
+    assert want == "V 0 0 2\n"
+    proc = run_python(
+        ["-m", "slidecam.cli", "solve", str(path)],
+        tmp_path,
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONUTF8="0",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want

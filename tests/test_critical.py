@@ -169,7 +169,7 @@ def test_region_graph_on_ear_loop():
     run = sc.run_pipeline(P)
     g = run.region_graph
     assert g.edges == () and g.loops == (0,)
-    assert str(g.candidates[g.loop_witness[0]]) == "H 3 0 6"
+    assert str(g.candidates[g.seers[0][0]]) == "H 3 0 6"
     assert [str(s) for s in run.patch_segments] == ["H 3 0 6"]
 
 
@@ -180,7 +180,7 @@ def test_region_graph_shared_edge():
     g = run.region_graph
     assert len(g.regions) == 2
     assert g.edges == ((0, 1),)
-    assert str(g.candidates[g.edge_witness[(0, 1)]]) == "V 5 0 9"
+    assert str(g.candidates[min(set(g.seers[0]) & set(g.seers[1]))]) == "V 5 0 9"
     assert [str(s) for s in run.patch_segments] == ["V 5 0 9"]
 
 
@@ -196,10 +196,9 @@ def test_guards_from_cover_deduplicates():
     g = sc.RegionGraph(
         regions=(R((0, 1, 0, 1)), R((1, 2, 1, 2)), R((3, 4, 0, 1))),
         candidates=segs,
+        seers=((1,), (0, 1), (1,)),
         edges=((0, 1),),
-        edge_witness={(0, 1): 1},
         loops=(2,),
-        loop_witness={2: 1},
     )
     cover = sc.min_edge_cover(len(g.regions), g.edges, loops=g.loops)
     assert sorted(cover) == [(0, 1), (2, 2)]
@@ -239,7 +238,7 @@ def test_at_most_two_regions_per_track_on_sample(corpus_runs):
     [(P, run)] = [(P, run) for key, P, run in runs if key == (320, 2)]
     rg = sc.build_region_graph(P, run.regions, run.grid.segments)
     assert {(0, 1), (0, 2), (1, 2)} <= set(rg.edges)
-    assert str(rg.candidates[rg.edge_witness[0, 2]]) == "V 21 3 38"
+    assert str(rg.candidates[min(set(rg.seers[0]) & set(rg.seers[2]))]) == "V 21 3 38"
     assert run.stats.patch_size == 4
 
 
@@ -264,24 +263,18 @@ def reference_region_graph(P, regions, candidates):
     candidate against every piece through guards_entirely."""
     from slidecam.visibility import guards_entirely
 
-    seers = [[k for k, s in enumerate(candidates) if guards_entirely(P, s, r)] for r in regions]
-    edges, witness = [], {}
-    for i in range(len(regions)):
-        for j in range(i + 1, len(regions)):
-            common = set(seers[i]) & set(seers[j])
-            if common:
-                edges.append((i, j))
-                witness[(i, j)] = min(common)
+    seers = tuple(
+        tuple(k for k, s in enumerate(candidates) if guards_entirely(P, s, r)) for r in regions
+    )
+    edges = tuple(
+        (i, j)
+        for i in range(len(regions))
+        for j in range(i + 1, len(regions))
+        if set(seers[i]) & set(seers[j])
+    )
     linked = {v for e in edges for v in e}
     loops = tuple(i for i in range(len(regions)) if i not in linked)
-    return sc.RegionGraph(
-        tuple(regions),
-        tuple(candidates),
-        tuple(edges),
-        witness,
-        loops,
-        {i: seers[i][0] for i in loops},
-    )
+    return sc.RegionGraph(tuple(regions), tuple(candidates), seers, edges, loops)
 
 
 def test_region_graph_span_skip_matches_a_full_scan(corpus_runs_1000):
@@ -304,7 +297,7 @@ def test_region_graph_span_skip_matches_a_full_scan(corpus_runs_1000):
         want = reference_region_graph(P, run.regions, segments)
         assert sc.build_region_graph(P, run.regions, segments) == want
         assert run.region_graph == want
-        # Reversed, the vertical tracks come first and win the witnesses.
+        # Reversed, the vertical tracks come first and take the low indices.
         want = reference_region_graph(P, run.regions, segments[::-1])
         assert sc.build_region_graph(P, run.regions, segments[::-1]) == want
     assert patched > 200

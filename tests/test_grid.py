@@ -50,13 +50,16 @@ def test_reflex_chords_named():
 
 def test_chord_origins():
     P = sc.validate_polygon(STAIR2)
-    origins = sc.chord_origins(P)
+    origins = max_chord_origins(P)
     assert origins[H(2, 0, 6)] == (sc.Point(2, 2),)
     assert origins[V(4, 0, 6)] == (sc.Point(4, 4),)
-    # every reflex vertex lies on both of its chords
-    for chord, vs in origins.items():
-        for v in vs:
-            assert chord.contains(v)
+    # A chord's reflex vertices are the reflex vertices lying on it, in
+    # point order: what demos/walkthrough.py prints for each grid track.
+    polygons = [P] + [sc.generate_polygon(seed, corpus_target(seed)) for seed in range(1, 101)]
+    for P in polygons:
+        reflex = sc.reflex_vertices(P)
+        for chord, vs in max_chord_origins(P).items():
+            assert vs == tuple(sorted(v for v in reflex if chord.contains(v))), (P, str(chord))
 
 
 def test_prune_keeps_perpendicular_twins():
@@ -102,13 +105,16 @@ def test_survivors_form_antichain_per_orientation():
 
 
 def test_grid_origins_cover_all_reflex_vertices():
+    # every grid track is the maximal chord of each reflex vertex on it
     for seed in range(1, 40):
         P = sc.generate_polygon(seed, corpus_target(seed))
+        reflex = sc.reflex_vertices(P)
         g = sc.prune_dominated(P, sc.reflex_chords(P))
-        assert len(g.origins) == len(g.segments)
-        for s, vs in zip(g.segments, g.origins):
+        for s in g.segments:
+            vs = [v for v in reflex if s.contains(v)]
+            assert vs, (seed, str(s))
             for v in vs:
-                assert s.contains(v)
+                assert sc.max_chord(P, v, s.orientation) == s
 
 
 def test_intersection_graph_plus():
@@ -166,8 +172,7 @@ def containment_prune(P, chords):
             for d in reps
         )
     ]
-    origins = sc.chord_origins(P)
-    return sc.Grid(tuple(kept), tuple(origins[c] for c in kept))
+    return sc.Grid(tuple(kept))
 
 
 def test_prune_matches_region_containment():
@@ -216,7 +221,7 @@ def test_intersection_graph_matches_all_pairs(corpus):
     for P in polygons:
         chords = sc.reflex_chords(P)
         grid = sc.prune_dominated(P, sc.reflex_chords(P))
-        unpruned = sc.Grid(tuple(chords), tuple(sc.chord_origins(P)[c] for c in chords))
+        unpruned = sc.Grid(tuple(chords))
         shuffled = rng.sample(chords, len(chords))
         for g, segments in (
             (grid, grid.segments),
@@ -255,8 +260,7 @@ def clearance_dict_prune(P, chords):
                 d != c and guards(d, c) and (d < c or not guards(c, d)) for d in rivals
             ):
                 kept.append(c)
-    origins = sc.chord_origins(P)
-    return sc.Grid(tuple(kept), tuple(origins.get(c, ()) for c in kept))
+    return sc.Grid(tuple(kept))
 
 
 def test_prune_matches_clearance_dict_reference(corpus):
@@ -272,8 +276,8 @@ def test_prune_matches_clearance_dict_reference(corpus):
 
 
 def max_chord_origins(P):
-    """chord_origins by one max_chord point query per reflex vertex and
-    orientation."""
+    """Each maximal chord's reflex vertices, sorted, by one max_chord point
+    query per reflex vertex and orientation."""
     acc = {}
     for v in sc.reflex_vertices(P):
         for o in (sc.HORIZONTAL, sc.VERTICAL):
@@ -294,12 +298,11 @@ def test_chord_table_matches_max_chord_and_clearance(corpus):
     shared = 0
     for P in polygons:
         want = max_chord_origins(P)
-        assert sc.chord_origins(P) == want, P
         assert sc.reflex_chords(P) == sorted(want), P
-        for segments, origins, clearances in _chord_table(P):
-            for s, vs, clearance in zip(segments, origins, clearances):
+        shared += sum(len(vs) > 1 for vs in want.values())
+        for segments, clearances in _chord_table(P):
+            for s, clearance in zip(segments, clearances):
                 assert clearance == _clearance(P, s), (P, str(s))
-                shared += len(vs) > 1
     assert shared > 100
 
 

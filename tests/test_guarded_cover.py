@@ -12,7 +12,14 @@ import pytest
 
 import brute
 import slidecam as sc
-from conftest import notched_square, serpentine_polygon
+from conftest import (
+    comb_polygon,
+    images,
+    notched_square,
+    serpentine_polygon,
+    staircase_polygon,
+    xmonotone_polygon,
+)
 from slidecam import guarded_cover
 from slidecam.guarded_cover import _domination_matrix, _search
 
@@ -501,28 +508,76 @@ def test_grid_graphs_are_chordal_bipartite_and_take_the_greedy_path(corpus):
         assert takes_greedy_path(g), g.edges
 
 
-@pytest.mark.parametrize("seed, n", [(2, 960), (1, 640)])
-def test_pipeline_cover_certified_by_a_packing(seed, n):
+def generated(seed, n):
+    return [sc.generate_polygon(seed, n)]
+
+
+def xmonotone(seed, width):
+    return [xmonotone_polygon(seed, width, 8)]
+
+
+def family_images(F, k):
+    return list(images(F(k)))
+
+
+def data_file(name):
+    return [sc.parse_polygon((Path(__file__).parent / "data" / name).read_text())]
+
+
+# Past the oracles' caps: generated polygons, x-monotone ones with sparse
+# grids, every image of the four adversarial families at the sizes
+# tests/test_grid.py uses, and every fixture.
+PACKING_INPUTS = [
+    pytest.param(generated, (2, 960), id="2-960"),
+    pytest.param(generated, (1, 640), id="1-640"),
+    *(
+        pytest.param(xmonotone, (seed, width), id=f"xmonotone-{seed}-{width}")
+        for width in (200, 1000)
+        for seed in (1, 2, 3)
+    ),
+    *(
+        pytest.param(family_images, (F, k), id=f"{F.__name__}-{k}")
+        for F, k in (
+            (comb_polygon, 12),
+            (serpentine_polygon, 12),
+            (staircase_polygon, 16),
+            (notched_square, 6),
+            (comb_polygon, 30),
+            (serpentine_polygon, 30),
+            (staircase_polygon, 40),
+            (notched_square, 10),
+        )
+    ),
+    *(
+        pytest.param(data_file, (path.name,), id=path.stem)
+        for path in sorted((Path(__file__).parent / "data").glob("*.poly"))
+    ),
+]
+
+
+@pytest.mark.parametrize("build, args", PACKING_INPUTS)
+def test_pipeline_cover_certified_by_a_packing(build, args):
     """No two targets of a packing share a neighbor, so a guarded cover
     picks a distinct node for each; a packing as large as the cover's
     non-isolated picks proves it minimum without any search."""
-    run = sc.run_pipeline(sc.generate_polygon(seed, n))
-    g = run.graph
-    adj = g.neighbor_masks()
-    assert sc.is_guarded_cover(g, run.chosen)
-    nbrs = neighbor_lists(g)
-    rows, cols = _domination_matrix(nbrs)[:2]
-    col_pos = {u: p for p, u in enumerate(cols)}
-    # the targets where the greedy pass picks
-    packing = []
-    dominated = watched = 0
-    for v in rows:
-        if not (dominated >> v) & 1:
-            assert adj[v] & watched == 0, v
-            watched |= adj[v]
-            packing.append(v)
-            dominated |= adj[max(nbrs[v], key=col_pos.__getitem__)]
-    assert len(run.chosen) - adj.count(0) == len(packing) > 0
+    for P in build(*args):
+        run = sc.run_pipeline(P)
+        g = run.graph
+        adj = g.neighbor_masks()
+        assert sc.is_guarded_cover(g, run.chosen)
+        nbrs = neighbor_lists(g)
+        rows, cols = _domination_matrix(nbrs)[:2]
+        col_pos = {u: p for p, u in enumerate(cols)}
+        # the targets where the greedy pass picks
+        packing = []
+        dominated = watched = 0
+        for v in rows:
+            if not (dominated >> v) & 1:
+                assert adj[v] & watched == 0, v
+                watched |= adj[v]
+                packing.append(v)
+                dominated |= adj[max(nbrs[v], key=col_pos.__getitem__)]
+        assert len(run.chosen) - adj.count(0) == len(packing) > 0
 
 
 def greedy_calls(monkeypatch, graph):
